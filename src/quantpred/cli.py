@@ -167,6 +167,15 @@ def _config_echo(section, values, out_dir, name):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _load_calibration(path, alpha):
+    """The calibration record at path, which must be for this alpha."""
+    cal = conformal.ConformalCalibration.load(path)
+    if cal.alpha != alpha:
+        raise CLIError(f"{path}: calibrated at alpha={cal.alpha!r}, "
+                       f"but alpha={alpha!r} was requested")
+    return cal
+
+
 def cmd_train(args):
     cfg = load_config(args.config)["train"]
     if args.taus:
@@ -216,11 +225,8 @@ def cmd_calibrate(args):
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
     data = ingest_csv(args.data, args.target)
-    triples = []
-    for x, y in zip(data.features, data.targets):
-        iv = qnn.predict_interval(net, x, alpha)
-        triples.append((y, iv.lower, iv.upper))
-    cal = conformal.calibrate(triples, alpha)
+    lo, hi = qnn.predict_intervals(net, data.features, alpha)
+    cal = conformal.calibrate(conformal.scores(data.targets, lo, hi), alpha)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "calibration.txt"), "w") as fh:
         fh.write(cal.to_record())
@@ -236,6 +242,7 @@ def cmd_predict(args):
         cfg["taus"] = args.taus
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
+    cal = _load_calibration(args.calibration, alpha) if args.calibration else None
     X, header = ingest_features(args.data)
     if args.target and args.target in header:
         keep = [i for i, h in enumerate(header) if h != args.target]
@@ -251,23 +258,19 @@ def cmd_predict(args):
     except DomainError as exc:
         raise CLIError(str(exc)) from None
 
-    cal = None
-    if args.calibration:
-        with open(args.calibration) as fh:
-            cal = conformal.ConformalCalibration.from_record(fh.read())
+    cols = [quants]
+    if cal is not None:
+        lo, hi = qnn.predict_intervals(net, X, alpha)
+        cols += conformal.conformalize(lo, hi, cal.qhat)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
-        cols = [f"q{_fmt(t)}" for t in levels]
+        header = [f"q{_fmt(t)}" for t in levels]
         if cal is not None:
-            cols += ["lower", "upper"]
-        fh.write(",".join(["row"] + cols) + "\n")
-        for i, x in enumerate(X):
-            cells = [str(i)] + [_fmt(v) for v in quants[i]]
-            if cal is not None:
-                iv = conformal.conformalize(qnn.predict_interval(net, x, alpha), cal)
-                cells += [_fmt(iv.lower), _fmt(iv.upper)]
-            fh.write(",".join(cells) + "\n")
+            header += ["lower", "upper"]
+        fh.write(",".join(["row"] + header) + "\n")
+        for i, row in enumerate(np.column_stack(cols).tolist()):
+            fh.write(f"{i}," + ",".join(map(repr, row)) + "\n")
     _config_echo("predict", cfg, args.out, "predict_meta.json")
     return 0
 
@@ -285,32 +288,25 @@ def cmd_eval(args):
         if not args.model:
             raise CLIError("eval with method qnn requires --model")
         net = qnn.load(args.model)
-        cal = None
-        if args.calibration:
-            with open(args.calibration) as fh:
-                cal = conformal.ConformalCalibration.from_record(fh.read())
-        ivs = []
-        for x in data.features:
-            iv = qnn.predict_interval(net, x, alpha)
-            if cal is not None:
-                iv = conformal.conformalize(iv, cal)
-            ivs.append(iv)
+        cal = _load_calibration(args.calibration, alpha) if args.calibration else None
+        lo, hi = qnn.predict_intervals(net, data.features, alpha)
+        if cal is not None:
+            lo, hi = conformal.conformalize(lo, hi, cal.qhat)
     elif cfg["method"] == "kernel":
         if not args.train_data:
             raise CLIError("eval with method kernel requires --train-data")
         train = ingest_csv(args.train_data, args.target)
         kc = kernel.KernelConfig(float(cfg["bandwidth"]))
-        preds = [kernel.nw_estimate(train, x, kc) for x in data.features]
+        preds = np.array([kernel.nw_estimate(train, x, kc) for x in data.features])
         # fixed width from the alpha-quantile of absolute training residuals
         tr_pred = [kernel.nw_estimate(train, x, kc) for x in train.features]
         resid = np.abs(train.targets - np.asarray(tr_pred))
         half = conformal.conformal_quantile(resid, alpha, resid.size)
-        ivs = [conformal.PredictionInterval(p - half, p + half, 1 - alpha)
-               for p in preds]
+        lo, hi = preds - half, preds + half
     else:
         raise CLIError(f"unknown method {cfg['method']!r}")
 
-    coverage, mean_width = conformal.evaluate_coverage(ivs, data.targets)
+    coverage, mean_width = conformal.coverage(lo, hi, data.targets)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.csv"), "w") as fh:
         fh.write("method,alpha,coverage,mean_width\n")

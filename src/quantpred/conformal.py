@@ -1,6 +1,6 @@
-"""Conformalized quantile regression: nonconformity scores, the
-(1-alpha)(1+1/n) calibration constant, interval inflation, and coverage
-evaluation."""
+"""Conformalized quantile regression on whole arrays: nonconformity
+scores, the (1-alpha)(1+1/n) calibration constant, interval inflation,
+and coverage evaluation. An interval set is a pair of arrays (lo, hi)."""
 
 from __future__ import annotations
 
@@ -10,26 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, conformal_quantile
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    lower: float
-    upper: float
-    level: float  # target coverage 1 - alpha
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise DomainError(f"lower {self.lower} exceeds upper {self.upper}")
-        if not (0.0 <= self.level <= 1.0):
-            raise DomainError(f"level {self.level} outside [0, 1]")
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    def contains(self, y):
-        return self.lower <= y <= self.upper
 
 
 @dataclass(frozen=True)
@@ -56,57 +36,90 @@ class ConformalCalibration:
         lines = text.strip().splitlines()
         if not lines or lines[0] != "conformal-calibration v1":
             raise DomainError("not a conformal-calibration record")
-        kv = dict(line.split("=", 1) for line in lines[1:])
+        kv = {}
+        for line in lines[1:]:
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise DomainError(f"calibration record line {line!r} is not key=value")
+            kv[key] = value
         # scores are summarized by digest only; the record carries qhat
-        return cls(
-            alpha=float(kv["alpha"]),
-            scores=np.array([]),
-            qhat=float(kv["qhat"]),
-            n=int(kv["n"]),
-        )
+        fields = {}
+        for name, parse in (("alpha", float), ("qhat", float), ("n", int)):
+            if name not in kv:
+                raise DomainError(f"calibration record lacks field {name!r}")
+            try:
+                fields[name] = parse(kv[name])
+            except ValueError:
+                raise DomainError(
+                    f"calibration record field {name!r} is malformed: {kv[name]!r}"
+                ) from None
+        if not np.isfinite(fields["qhat"]):
+            raise DomainError(f"calibration record qhat {fields['qhat']!r} is not finite")
+        return cls(scores=np.array([]), **fields)
+
+    @classmethod
+    def load(cls, path) -> "ConformalCalibration":
+        """Read a record written by to_record; errors name the path."""
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: undecodable bytes
+            raise DomainError(f"cannot read calibration record {path}: {exc}") from None
+        try:
+            return cls.from_record(text)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
 
 
-def nonconformity_score(y, lower, upper) -> float:
-    """max(lower - y, y - upper): negative strictly inside the band,
-    the outside distance when outside."""
-    if lower > upper:
-        raise DomainError(f"lower {lower} exceeds upper {upper}")
-    return float(max(lower - y, y - upper))
-
-
-def calibrate(calibration_set, alpha) -> ConformalCalibration:
-    """Score each (y, lower, upper) triple and take the conformal quantile."""
-    triples = list(calibration_set)
-    if not triples:
-        raise DomainError("calibration set must be non-empty")
-    scores = np.array(
-        [nonconformity_score(y, lo, hi) for y, lo, hi in triples], dtype=float
-    )
-    qhat = conformal_quantile(scores, alpha, scores.size)
-    return ConformalCalibration(float(alpha), scores, qhat, scores.size)
-
-
-def conformalize(interval: PredictionInterval, cal: ConformalCalibration) -> PredictionInterval:
-    """Inflate by qhat on both sides; a negative qhat larger than the
-    half-width collapses the interval to its midpoint."""
-    lo = interval.lower - cal.qhat
-    hi = interval.upper + cal.qhat
-    if hi < lo:
-        mid = 0.5 * (interval.lower + interval.upper)
-        lo = hi = mid
-    return PredictionInterval(lo, hi, interval.level)
-
-
-def evaluate_coverage(intervals, y_test):
-    """Closed-interval empirical coverage and mean width."""
-    intervals = list(intervals)
-    y = np.asarray(y_test, dtype=float)
-    if len(intervals) != y.size:
-        raise DomainError(
-            f"{len(intervals)} intervals but {y.size} test targets"
-        )
-    if not intervals:
+def _bands(lo, hi, y=None):
+    """lo, hi (and y) as equal-size, non-empty 1-D float arrays, with
+    lo <= hi on every row."""
+    arrays = [np.asarray(a, dtype=float).ravel()
+              for a in ((lo, hi) if y is None else (lo, hi, y))]
+    sizes = [a.size for a in arrays]
+    if len(set(sizes)) > 1:
+        raise DomainError(f"sizes of lower, upper (and targets) differ: {sizes}")
+    if sizes[0] == 0:
         raise DomainError("need at least one interval")
-    hits = sum(iv.contains(yy) for iv, yy in zip(intervals, y))
-    widths = np.array([iv.width for iv in intervals])
-    return hits / y.size, float(widths.mean())
+    bad = np.flatnonzero(arrays[0] > arrays[1])
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"row {i}: lower {arrays[0][i]} exceeds upper {arrays[1][i]}")
+    return arrays
+
+
+def scores(y, lo, hi):
+    """Nonconformity scores max(lo - y, y - hi), one per row: negative
+    strictly inside the band, the outside distance when outside."""
+    lo, hi, y = _bands(lo, hi, y)
+    return np.maximum(lo - y, y - hi)
+
+
+def calibrate(scores, alpha) -> ConformalCalibration:
+    """The conformal quantile of the calibration scores."""
+    s = np.asarray(scores, dtype=float).ravel()
+    if s.size == 0:
+        raise DomainError("calibration set must be non-empty")
+    qhat = conformal_quantile(s, alpha, s.size)
+    return ConformalCalibration(float(alpha), s, qhat, s.size)
+
+
+def conformalize(lo, hi, qhat):
+    """Inflate every interval by qhat on both sides, as arrays (lo, hi); a
+    negative qhat larger than the half-width collapses the interval to
+    its midpoint."""
+    lo, hi = _bands(lo, hi)
+    out_lo, out_hi = lo - qhat, hi + qhat
+    crossed = out_hi < out_lo
+    if crossed.any():
+        mid = 0.5 * (lo + hi)
+        out_lo = np.where(crossed, mid, out_lo)
+        out_hi = np.where(crossed, mid, out_hi)
+    return out_lo, out_hi
+
+
+def coverage(lo, hi, y):
+    """Closed-interval empirical coverage and mean width."""
+    lo, hi, y = _bands(lo, hi, y)
+    hits = np.count_nonzero((lo <= y) & (y <= hi))
+    return hits / y.size, float((hi - lo).mean())

@@ -276,12 +276,6 @@ class BenchResult:
     failures: int = 0
 
 
-def _qnn_intervals(net, grid, X, alpha):
-    lo_hi = net.quantiles_at(X, [alpha / 2, 1 - alpha / 2])
-    return [conformal.PredictionInterval(min(lo, hi), max(lo, hi), 1 - alpha)
-            for lo, hi in lo_hi]
-
-
 def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
     """Coverage and width of uncalibrated QNN intervals, CQR-calibrated
     intervals, and a fixed-width Nadaraya-Watson baseline, averaged over
@@ -292,6 +286,7 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
     cov = {m: [] for m in methods}
     wid = {m: [] for m in methods}
     probes = {x: [] for x in config.probe_points}
+    probe_X = np.asarray(config.probe_points, dtype=float)[:, None]
     failures = 0
 
     for rep in range(config.replications):
@@ -300,6 +295,7 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
         X_tr, y_tr = _draw(config.dgp, config.n_train, rng)
         X_cal, y_cal = _draw(config.dgp, config.n_cal, rng)
         X_te, y_te = _draw(config.dgp, config.n_test, rng)
+        train_ds = qnn.Dataset(X_tr, y_tr)
 
         try:
             net = qnn.QuantileNetwork(
@@ -310,39 +306,35 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
                 batch_size=config.batch_size,
                 epochs=config.epochs, seed=sub,
             )
-            qnn.train(net, qnn.Dataset(X_tr, y_tr), grid, tc)
+            qnn.train(net, train_ds, grid, tc)
         except qnn.TrainingError:
             failures += 1
             continue
 
         # uncalibrated
-        ivs = _qnn_intervals(net, grid, X_te, alpha)
-        c, w = conformal.evaluate_coverage(ivs, y_te)
+        lo, hi = qnn.predict_intervals(net, X_te, alpha)
+        c, w = conformal.coverage(lo, hi, y_te)
         cov["qnn"].append(c)
         wid["qnn"].append(w)
 
         # CQR
-        cal_ivs = _qnn_intervals(net, grid, X_cal, alpha)
         cal = conformal.calibrate(
-            [(y, iv.lower, iv.upper) for y, iv in zip(y_cal, cal_ivs)], alpha)
-        cqr_ivs = [conformal.conformalize(iv, cal) for iv in ivs]
-        c, w = conformal.evaluate_coverage(cqr_ivs, y_te)
+            conformal.scores(y_cal, *qnn.predict_intervals(net, X_cal, alpha)), alpha)
+        c, w = conformal.coverage(*conformal.conformalize(lo, hi, cal.qhat), y_te)
         cov["cqr"].append(c)
         wid["cqr"].append(w)
-        for x in config.probe_points:
-            iv = qnn.predict_interval(net, [x], alpha)
-            probes[x].append(conformal.conformalize(iv, cal).width)
+        probe_lo, probe_hi = conformal.conformalize(
+            *qnn.predict_intervals(net, probe_X, alpha), cal.qhat)
+        for x, width in zip(config.probe_points, probe_hi - probe_lo):
+            probes[x].append(width)
 
         # NW mean +- fixed split-conformal width on absolute residuals
         kc = kernel.KernelConfig(config.nw_bandwidth)
-        train_ds = qnn.Dataset(X_tr, y_tr)
         cal_pred = np.array([kernel.nw_estimate(train_ds, x, kc) for x in X_cal])
         half = conformal.calibrate(
-            [(y, p, p) for y, p in zip(y_cal, cal_pred)], alpha).qhat
+            conformal.scores(y_cal, cal_pred, cal_pred), alpha).qhat
         te_pred = np.array([kernel.nw_estimate(train_ds, x, kc) for x in X_te])
-        nw_ivs = [conformal.PredictionInterval(p - half, p + half, 1 - alpha)
-                  for p in te_pred]
-        c, w = conformal.evaluate_coverage(nw_ivs, y_te)
+        c, w = conformal.coverage(te_pred - half, te_pred + half, y_te)
         cov["nw"].append(c)
         wid["nw"].append(w)
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import PredictionInterval
 from .numerics import DomainError, RandomSource
 
 FORMAT_TAG = "qnet-v1"
@@ -238,9 +238,6 @@ class QuantileNetwork:
             params.extend([self.embed_w, self.embed_b])
         return params
 
-    def zero_gradients(self):
-        return [np.zeros_like(p) for p in self.parameters()]
-
     def set_standardization(self, mean, std):
         self.x_mean = np.asarray(mean, dtype=float)
         self.x_std = np.asarray(std, dtype=float)
@@ -275,27 +272,9 @@ class QuantileNetwork:
             raise DomainError(
                 f"input dim {X.shape[1]} != expected {self.layer_dims[0]}"
             )
-        X = self._standardize(X)
-        if self.head == "multi":
-            a, _, _ = self._trunk_forward(X)
-            raw = a @ self.weights[-1] + self.biases[-1]
-            if self.monotone == "increments":
-                q = np.empty_like(raw)
-                q[:, 0] = raw[:, 0]
-                if raw.shape[1] > 1:
-                    q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
-            else:
-                q = raw
-            return q
-        if taus is None:
+        if self.head == "implicit" and taus is None:
             raise DomainError("implicit mode requires explicit levels")
-        taus = np.asarray(taus, dtype=float).ravel()
-        psi, _, _ = self._trunk_forward(X)
-        ze = self._cosine_features(taus) @ self.embed_w + self.embed_b
-        phi = np.maximum(ze, 0.0)
-        h = psi[:, None, :] * phi[None, :, :]
-        q = h @ self.weights[-1][:, 0] + self.biases[-1][0]
-        return q
+        return _forward(self, X, taus)[0]
 
     def quantiles_at(self, X, levels):
         """Predictions at specific levels; multi-head requires grid membership."""
@@ -316,63 +295,87 @@ def forward(net: QuantileNetwork, x, taus=None):
 
 
 # ---------------------------------------------------------------------------
-# Loss + gradient (manual backprop)
+# The forward pass, the loss, and its gradient (manual backprop)
 # ---------------------------------------------------------------------------
 
-def _loss_grad_wrt_outputs(q, y, levels, kappa):
-    """(scalar data loss, dL/dq) averaged over samples and levels."""
-    u = y[:, None] - q
-    t = levels[None, :]
-    if kappa > 0:
-        loss = quantile_huber_loss(u, t, kappa)
-        dldu = quantile_huber_grad(u, t, kappa)
-    else:
-        loss = pinball_loss(u, t)
-        dldu = pinball_grad(u, t)
-    scale = 1.0 / u.size
-    return float(loss.mean()), -dldu * scale
+def _levels(taus):
+    return taus.levels if isinstance(taus, QuantileGrid) else np.asarray(taus, float).ravel()
 
 
-def _penalty_and_grad(q, weight):
-    """Squared-hinge crossing penalty, averaged over samples."""
-    n = q.shape[0]
-    viol = np.maximum(q[:, :-1] - q[:, 1:], 0.0)
-    pen = weight * float(np.sum(viol ** 2)) / n
-    dq = np.zeros_like(q)
-    g = 2.0 * weight * viol / n
-    dq[:, :-1] += g
-    dq[:, 1:] -= g
-    return pen, dq
+def _forward(net: QuantileNetwork, X, levels):
+    """Quantiles of the rows of X (n x K) and the cache backprop needs.
 
-
-def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: TrainingConfig):
-    """Mean configured loss over the batch and grid, plus the crossing
-    penalty in penalty mode, with gradients in the network's parameter
-    order."""
-    if batch.n == 0:
-        raise DomainError("batch must be non-empty")
-    levels = taus.levels if isinstance(taus, QuantileGrid) else np.asarray(taus, float)
-    X = net._standardize(batch.features)
-    y = batch.targets
-    act, dact = _ACT[net.activation]
-
+    The one forward pass, shared by inference, training and the epoch
+    loss. X is in input units and is standardized here; levels are read
+    only by the implicit head.
+    """
+    psi, zs, activations = net._trunk_forward(net._standardize(X))
     if net.head == "multi":
-        a, zs, activations = net._trunk_forward(X)
-        raw = a @ net.weights[-1] + net.biases[-1]
+        raw = psi @ net.weights[-1] + net.biases[-1]
+        q = raw
         if net.monotone == "increments":
             q = np.empty_like(raw)
             q[:, 0] = raw[:, 0]
             if raw.shape[1] > 1:
                 q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
-        else:
-            q = raw
+        return q, (zs, activations, raw)
+    cos_feat = net._cosine_features(levels)
+    ze = cos_feat @ net.embed_w + net.embed_b
+    phi = np.maximum(ze, 0.0)
+    h = psi[:, None, :] * phi[None, :, :]          # n x K x H
+    q = h @ net.weights[-1][:, 0] + net.biases[-1][0]
+    return q, (zs, activations, cos_feat, ze, phi, h)
 
-        loss, dq = _loss_grad_wrt_outputs(q, y, levels, config.huber_kappa)
-        if net.monotone == "penalty":
-            pen, dq_pen = _penalty_and_grad(q, net.penalty_weight)
-            loss += pen
-            dq = dq + dq_pen
 
+def _loss(net: QuantileNetwork, q, y, levels, kappa):
+    """Mean configured loss over samples and levels, plus the crossing
+    penalty in penalty mode. Also returns what the gradient reuses: the
+    residuals and the crossing violations (None outside penalty mode)."""
+    u = y[:, None] - q
+    loss = quantile_huber_loss(u, levels, kappa) if kappa > 0 else pinball_loss(u, levels)
+    loss, viol = float(loss.mean()), None
+    if net.monotone == "penalty":
+        viol = np.maximum(q[:, :-1] - q[:, 1:], 0.0)
+        loss += net.penalty_weight * float(np.sum(viol ** 2)) / q.shape[0]
+    return loss, u, viol
+
+
+def _trunk_backward(net: QuantileNetwork, delta, zs, activations):
+    """Hidden-layer gradients [W0, b0, W1, b1, ...] from delta, the
+    gradient with respect to the trunk's output."""
+    _, dact = _ACT[net.activation]
+    grads = []
+    for layer in range(len(net.weights) - 2, -1, -1):
+        delta = delta * dact(zs[layer])
+        grads[:0] = [activations[layer].T @ delta, delta.sum(axis=0)]
+        if layer > 0:
+            delta = delta @ net.weights[layer].T
+    return grads
+
+
+def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: TrainingConfig):
+    """Mean configured loss over the batch and grid, plus the crossing
+    penalty in penalty mode, with gradients in the network's parameter
+    order. batch needs only .features and .targets arrays."""
+    y = batch.targets
+    if y.size == 0:
+        raise DomainError("batch must be non-empty")
+    levels = _levels(taus)
+    kappa = config.huber_kappa
+    q, cache = _forward(net, batch.features, levels)
+    loss, u, viol = _loss(net, q, y, levels, kappa)
+    dldu = quantile_huber_grad(u, levels, kappa) if kappa > 0 else pinball_grad(u, levels)
+    dq = -dldu * (1.0 / u.size)
+    if viol is not None:
+        dq_pen = np.zeros_like(q)
+        g = 2.0 * net.penalty_weight * viol / q.shape[0]
+        dq_pen[:, :-1] += g
+        dq_pen[:, 1:] -= g
+        dq = dq + dq_pen
+
+    if net.head == "multi":
+        zs, activations, raw = cache
+        draw = dq
         if net.monotone == "increments":
             # q_k = raw_0 + sum_{j<=k, j>=1} softplus(raw_j)
             tail = np.cumsum(dq[:, ::-1], axis=1)[:, ::-1]
@@ -380,75 +383,36 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
             draw[:, 0] = tail[:, 0]
             if raw.shape[1] > 1:
                 draw[:, 1:] = tail[:, 1:] * _sigmoid(raw[:, 1:])
-        else:
-            draw = dq
+        grads = _trunk_backward(net, draw @ net.weights[-1].T, zs, activations)
+        return loss, grads + [activations[-1].T @ draw, draw.sum(axis=0)]
 
-        grads_w = [None] * len(net.weights)
-        grads_b = [None] * len(net.biases)
-        grads_w[-1] = activations[-1].T @ draw
-        grads_b[-1] = draw.sum(axis=0)
-        delta = draw @ net.weights[-1].T
-        for layer in range(len(net.weights) - 2, -1, -1):
-            delta = delta * dact(zs[layer])
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = delta @ net.weights[layer].T
-
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend([gw, gb])
-        return loss, grads
-
-    # implicit head
-    psi, zs, activations = net._trunk_forward(X)
-    cos_feat = net._cosine_features(levels)
-    ze = cos_feat @ net.embed_w + net.embed_b
-    phi = np.maximum(ze, 0.0)
-    h = psi[:, None, :] * phi[None, :, :]          # n x K x H
+    zs, activations, cos_feat, ze, phi, h = cache
+    psi = activations[-1]
     w_out = net.weights[-1][:, 0]
-    q = h @ w_out + net.biases[-1][0]
-
-    loss, dq = _loss_grad_wrt_outputs(q, y, levels, config.huber_kappa)
-    if net.monotone == "penalty":
-        pen, dq_pen = _penalty_and_grad(q, net.penalty_weight)
-        loss += pen
-        dq = dq + dq_pen
-
     gw_out = np.einsum("nkh,nk->h", h, dq)[:, None]
     gb_out = np.array([dq.sum()])
     dh = dq[:, :, None] * w_out[None, None, :]
     dpsi = np.einsum("nkh,kh->nh", dh, phi)
     dphi = np.einsum("nkh,nh->kh", dh, psi)
     dze = dphi * (ze > 0)
-    g_embed_w = cos_feat.T @ dze
-    g_embed_b = dze.sum(axis=0)
-
-    grads_w = [None] * (len(net.weights) - 1)
-    grads_b = [None] * (len(net.biases) - 1)
-    delta = dpsi
-    for layer in range(len(net.weights) - 2, -1, -1):
-        delta = delta * dact(zs[layer])
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = delta @ net.weights[layer].T
-
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend([gw, gb])
-    grads.extend([gw_out, gb_out])
-    grads.extend([g_embed_w, g_embed_b])
-    return loss, grads
+    grads = _trunk_backward(net, dpsi, zs, activations)
+    return loss, grads + [gw_out, gb_out, cos_feat.T @ dze, dze.sum(axis=0)]
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
-def _full_loss(net, data, taus, config):
-    loss, _ = loss_and_gradient(net, data, taus, config)
-    return loss
+class _Rows(NamedTuple):
+    """Rows taken from an already validated Dataset."""
+    features: np.ndarray
+    targets: np.ndarray
+
+
+def _full_loss(net, data, levels, kappa):
+    """The training loss over all of data: a forward pass, no gradients."""
+    q, _ = _forward(net, data.features, levels)
+    return _loss(net, q, data.targets, levels, kappa)[0]
 
 
 def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
@@ -472,8 +436,9 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
+    levels = _levels(taus)
     rng = RandomSource(config.seed).stream("train")
-    trace = [_full_loss(net, data, taus, config)]
+    trace = [_full_loss(net, data, levels, config.huber_kappa)]
     best_loss = trace[0]
     best_params = [p.copy() for p in params]
 
@@ -481,8 +446,8 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
         order = rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch = Dataset(data.features[idx], data.targets[idx])
-            loss, grads = loss_and_gradient(net, batch, taus, config)
+            batch = _Rows(data.features[idx], data.targets[idx])
+            loss, grads = loss_and_gradient(net, batch, levels, config)
             if not np.isfinite(loss):
                 raise TrainingError(epoch, start // config.batch_size,
                                     f"non-finite loss {loss}")
@@ -499,7 +464,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
             else:
                 for p, g in zip(params, grads):
                     p -= config.learning_rate * g
-        epoch_loss = _full_loss(net, data, taus, config)
+        epoch_loss = _full_loss(net, data, levels, config.huber_kappa)
         if not np.isfinite(epoch_loss):
             raise TrainingError(epoch, -1, f"non-finite epoch loss {epoch_loss}")
         trace.append(epoch_loss)
@@ -514,15 +479,21 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     return net, trace
 
 
-def predict_interval(net: QuantileNetwork, x, alpha) -> PredictionInterval:
-    """Uncalibrated central interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]."""
+def predict_intervals(net: QuantileNetwork, X, alpha):
+    """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
+    one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
+    each pair is ordered."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=float).ravel()
-    lo, hi = net.quantiles_at(x[None, :], [alpha / 2, 1 - alpha / 2])[0]
-    if lo > hi:  # penalty-mode nets may cross; report the ordered pair
-        lo, hi = hi, lo
-    return PredictionInterval(float(lo), float(hi), 1 - alpha)
+    q = net.quantiles_at(X, [alpha / 2, 1 - alpha / 2])
+    return np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
+
+
+def predict_interval(net: QuantileNetwork, x, alpha):
+    """predict_intervals for the single input row x, as floats (lo, hi)."""
+    # no command calls this; bench/test_bench.py wraps it to test the tracer
+    lo, hi = predict_intervals(net, np.asarray(x, dtype=float).reshape(1, -1), alpha)
+    return float(lo[0]), float(hi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -563,22 +534,35 @@ def save(net: QuantileNetwork, path):
 
 
 def load(path) -> QuantileNetwork:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_TAG:
-        raise DomainError(f"unrecognized model format {doc.get('format')!r}")
-    grid = None if doc["grid"] is None else QuantileGrid(doc["grid"])
-    net = QuantileNetwork(
-        doc["layer_dims"], grid=grid, activation=doc["activation"],
-        head=doc["head"], embedding_dim=doc["embedding_dim"],
-        monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
-    )
-    net.weights = [_decode(o) for o in doc["weights"]]
-    net.biases = [_decode(o) for o in doc["biases"]]
-    if doc["embed"] is not None:
-        net.embed_w = _decode(doc["embed"]["w"])
-        net.embed_b = _decode(doc["embed"]["b"])
-    if doc["standardization"] is not None:
-        net.x_mean = _decode(doc["standardization"]["mean"])
-        net.x_std = _decode(doc["standardization"]["std"])
+    """Read a model written by save; a missing, unreadable or malformed
+    file raises DomainError naming the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read model {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"{path}: not a JSON model file: {exc}") from None
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != FORMAT_TAG:
+        raise DomainError(f"{path}: unrecognized model format {fmt!r}")
+    try:
+        grid = None if doc["grid"] is None else QuantileGrid(doc["grid"])
+        net = QuantileNetwork(
+            doc["layer_dims"], grid=grid, activation=doc["activation"],
+            head=doc["head"], embedding_dim=doc["embedding_dim"],
+            monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
+        )
+        net.weights = [_decode(o) for o in doc["weights"]]
+        net.biases = [_decode(o) for o in doc["biases"]]
+        if doc["embed"] is not None:
+            net.embed_w = _decode(doc["embed"]["w"])
+            net.embed_b = _decode(doc["embed"]["b"])
+        if doc["standardization"] is not None:
+            net.x_mean = _decode(doc["standardization"]["mean"])
+            net.x_std = _decode(doc["standardization"]["std"])
+    except KeyError as exc:
+        raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: malformed model: {exc}") from None
     return net

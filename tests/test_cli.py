@@ -220,6 +220,20 @@ class TestPipeline:
         lo, hi = (float(c) for c in lines[1].split(",")[-2:])
         assert lo <= hi
 
+    def test_predict_intervals_match_the_quantile_columns(self, pipeline, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", pipeline["model"],
+                     "--data", pipeline["test_csv"], "--target", "y",
+                     "--calibration", pipeline["calibration"],
+                     "--out", str(out)]) == 0
+        with open(pipeline["calibration"]) as fh:
+            qhat = conformal.ConformalCalibration.from_record(fh.read()).qhat
+        table = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1)
+        _, q05, _, q95, lower, upper = table.T
+        assert np.all(q95 - q05 + 2 * qhat >= 0)  # no interval collapsed
+        assert np.array_equal(lower, q05 - qhat)
+        assert np.array_equal(upper, q95 + qhat)
+
     def test_eval_qnn_calibrated(self, pipeline, tmp_path):
         out = tmp_path / "eval"
         assert main(["eval", "--model", pipeline["model"],
@@ -300,6 +314,74 @@ class TestErrorSurface:
                    "--config", conf, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "unknown key 'width'" in capsys.readouterr().err
+
+
+class TestArtifactErrors:
+    """A bad model or calibration record ends with an error: line and exit 1."""
+
+    def _run(self, pipeline, tmp_path, command, model=None, calibration=None,
+             alpha=None):
+        argv = [command, "--model", model or pipeline["model"],
+                "--data", pipeline["test_csv"], "--target", "y",
+                "--calibration", calibration or pipeline["calibration"],
+                "--out", str(tmp_path / "o")]
+        if alpha is not None:
+            argv += ["--alpha", str(alpha)]
+        return main(argv)
+
+    def _edited(self, src, dst, edit):
+        with open(src) as fh:
+            return write(dst, edit(fh.read()))
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_missing_model_file(self, pipeline, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.qnet")
+        assert self._run(pipeline, tmp_path, command, model=missing) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_missing_calibration_file(self, pipeline, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope.txt")
+        assert self._run(pipeline, tmp_path, command, calibration=missing) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_calibration_without_qhat(self, pipeline, tmp_path, capsys, command):
+        bad = self._edited(
+            pipeline["calibration"], tmp_path / "cal.txt",
+            lambda t: "".join(line for line in t.splitlines(True)
+                              if not line.startswith("qhat=")))
+        assert self._run(pipeline, tmp_path, command, calibration=bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err and "'qhat'" in err
+
+    def test_model_without_grid(self, pipeline, tmp_path, capsys):
+        def drop_grid(text):
+            doc = json.loads(text)
+            del doc["grid"]
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", drop_grid)
+        assert self._run(pipeline, tmp_path, "predict", model=bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err and "'grid'" in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("record_alpha", ["0.1", "0.5"])
+    def test_calibration_alpha_mismatch(self, pipeline, tmp_path, capsys, command,
+                                        record_alpha):
+        # a record at 0.1 used at alpha 0.5, and one at 0.5 used at alpha 0.1,
+        # whose interval levels are on the model's grid
+        cal = self._edited(pipeline["calibration"], tmp_path / "cal.txt",
+                           lambda t: t.replace("alpha=0.1", f"alpha={record_alpha}"))
+        alpha = 0.5 if record_alpha == "0.1" else 0.1
+        assert self._run(pipeline, tmp_path, command, calibration=cal,
+                         alpha=alpha) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0.1" in err and "0.5" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDemoCommand:

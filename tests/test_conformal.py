@@ -3,55 +3,69 @@ import pytest
 
 from quantpred.conformal import (
     ConformalCalibration,
-    PredictionInterval,
     calibrate,
     conformalize,
-    evaluate_coverage,
-    nonconformity_score,
+    coverage,
+    scores,
 )
 from quantpred.numerics import DomainError, RandomSource
 
 
 class TestNonconformityScore:
     def test_interior_point(self):
-        assert nonconformity_score(5, 3, 7) == -2
+        assert scores([5], [3], [7]).tolist() == [-2]
 
     def test_above_band(self):
-        assert nonconformity_score(9, 3, 7) == 2
+        assert scores([9], [3], [7]).tolist() == [2]
 
     def test_boundary(self):
-        assert nonconformity_score(3, 3, 7) == 0
+        assert scores([3], [3], [7]).tolist() == [0]
 
     def test_sign_characterizes_membership(self):
         rng = RandomSource(0).stream("scores")
-        for _ in range(200):
-            lo, w = rng.normal(), abs(rng.normal())
-            hi = lo + w
-            y = rng.normal(scale=3)
-            s = nonconformity_score(y, lo, hi)
-            assert (s < 0) == (lo < y < hi)
+        lo = rng.normal(size=200)
+        hi = lo + np.abs(rng.normal(size=200))
+        y = rng.normal(scale=3, size=200)
+        s = scores(y, lo, hi)
+        assert np.array_equal(s < 0, (lo < y) & (y < hi))
 
     def test_rejects_inverted_band(self):
         with pytest.raises(DomainError):
-            nonconformity_score(0, 1, -1)
+            scores([0], [1], [-1])
+        # one inverted row anywhere in the batch is enough
+        with pytest.raises(DomainError, match="row 1"):
+            scores([0, 0, 0], [-1, 1, -1], [1, -1, 1])
+
+    def test_sizes_must_match_and_be_non_empty(self):
+        with pytest.raises(DomainError):
+            scores([0.0, 1.0], [-1.0], [1.0])
+        with pytest.raises(DomainError):
+            scores([], [], [])
+
+    def test_matches_scalar_reference(self):
+        rng = RandomSource(3).stream("scores-ref")
+        lo = rng.normal(size=100)
+        hi = lo + np.abs(rng.normal(size=100))
+        y = rng.normal(scale=2, size=100)
+        ref = [max(a - b, b - c) for a, b, c in zip(lo, y, hi)]
+        assert scores(y, lo, hi).tolist() == ref
 
 
 class TestCalibrate:
     def test_all_inside_gives_negative_qhat(self):
-        triples = [(5.0, 3.0, 7.0), (4.0, 3.0, 7.0), (6.0, 3.0, 7.0)]
-        cal = calibrate(triples, 0.5)
+        cal = calibrate(scores([5.0, 4.0, 6.0], [3.0] * 3, [7.0] * 3), 0.5)
         assert cal.qhat < 0
 
     def test_hand_built_order_statistic(self):
-        scores = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        triples = [(0.0, 0.0, -s) if s <= 0 else (s, 0.0, 0.0) for s in scores]
-        cal = calibrate(triples, 0.2)
+        s = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        cal = calibrate(s, 0.2)
         assert cal.n == 9
-        assert cal.qhat == sorted(scores)[7]  # ceil(0.8*10) = 8th smallest
+        assert cal.qhat == sorted(s)[7]  # ceil(0.8*10) = 8th smallest
 
     def test_single_point(self):
-        cal = calibrate([(2.0, 3.0, 7.0)], 0.5)
-        assert cal.qhat == nonconformity_score(2.0, 3.0, 7.0)
+        s = scores([2.0], [3.0], [7.0])
+        cal = calibrate(s, 0.5)
+        assert cal.qhat == s[0] == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -60,59 +74,68 @@ class TestCalibrate:
     def test_monotone_in_scores(self):
         rng = RandomSource(1).stream("cal")
         ys = rng.normal(size=20)
-        triples = [(y, -1.0, 1.0) for y in ys]
-        base = calibrate(triples, 0.2).qhat
+        lo, hi = np.full(20, -1.0), np.full(20, 1.0)
+        base = calibrate(scores(ys, lo, hi), 0.2).qhat
         for i in range(20):
-            bumped = list(triples)
-            y = bumped[i][0]
-            bumped[i] = (y + 10.0 if y > 1.0 else 12.0, -1.0, 1.0)
-            assert calibrate(bumped, 0.2).qhat >= base
+            bumped = ys.copy()
+            bumped[i] = ys[i] + 10.0 if ys[i] > 1.0 else 12.0
+            assert calibrate(scores(bumped, lo, hi), 0.2).qhat >= base
 
 
 class TestConformalize:
-    def _cal(self, qhat, alpha=0.1):
-        return ConformalCalibration(alpha, np.array([qhat]), qhat, 1)
-
     def test_identity_at_zero(self):
-        iv = PredictionInterval(3.0, 7.0, 0.9)
-        out = conformalize(iv, self._cal(0.0))
-        assert (out.lower, out.upper) == (3.0, 7.0)
+        lo, hi = conformalize([3.0], [7.0], 0.0)
+        assert (lo.tolist(), hi.tolist()) == ([3.0], [7.0])
 
     def test_inflation(self):
-        out = conformalize(PredictionInterval(3.0, 7.0, 0.9), self._cal(2.0))
-        assert (out.lower, out.upper) == (1.0, 9.0)
+        lo, hi = conformalize([3.0], [7.0], 2.0)
+        assert (lo.tolist(), hi.tolist()) == ([1.0], [9.0])
 
     def test_negative_collapse_to_midpoint(self):
-        out = conformalize(PredictionInterval(3.0, 7.0, 0.9), self._cal(-3.0))
-        assert (out.lower, out.upper) == (5.0, 5.0)
+        lo, hi = conformalize([3.0], [7.0], -3.0)
+        assert (lo.tolist(), hi.tolist()) == ([5.0], [5.0])
+
+    def test_collapse_applies_row_by_row(self):
+        # half-widths 2, 0.5 and 1: only the rows narrower than |qhat| collapse
+        lo, hi = conformalize([3.0, 0.0, -1.0], [7.0, 1.0, 1.0], -1.0)
+        assert lo.tolist() == [4.0, 0.5, 0.0]
+        assert hi.tolist() == [6.0, 0.5, 0.0]
+
+    def test_rejects_inverted_band_and_size_mismatch(self):
+        with pytest.raises(DomainError):
+            conformalize([1.0], [0.0], 0.5)
+        with pytest.raises(DomainError):
+            conformalize([0.0, 1.0], [1.0], 0.5)
+        with pytest.raises(DomainError):
+            conformalize([], [], 0.5)
 
 
 class TestEvaluateCoverage:
     def test_all_inside(self):
-        ivs = [PredictionInterval(0, 2, 0.9)] * 3
-        cov, width = evaluate_coverage(ivs, [1.0, 0.5, 1.5])
+        cov, width = coverage([0.0] * 3, [2.0] * 3, [1.0, 0.5, 1.5])
         assert cov == 1.0
         assert width == 2.0
 
     def test_zero_width_boundary_counts(self):
-        ivs = [PredictionInterval(1.0, 1.0, 0.9)]
-        cov, width = evaluate_coverage(ivs, [1.0])
+        cov, width = coverage([1.0], [1.0], [1.0])
         assert cov == 1.0
         assert width == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            evaluate_coverage([PredictionInterval(0, 1, 0.9)], [1.0, 2.0])
+            coverage([0.0], [1.0], [1.0, 2.0])
+        with pytest.raises(DomainError):
+            coverage([], [], [])
+        with pytest.raises(DomainError):
+            coverage([1.0], [0.0], [0.5])
 
     def test_affine_invariance(self):
         rng = RandomSource(2).stream("cov")
         y = rng.normal(size=50)
-        ivs = [PredictionInterval(v - 1, v + 0.5, 0.9) for v in rng.normal(size=50)]
-        cov, _ = evaluate_coverage(ivs, y)
+        v = rng.normal(size=50)
+        cov, _ = coverage(v - 1, v + 0.5, y)
         a, b = 3.5, -2.0
-        ivs2 = [PredictionInterval(a * iv.lower + b, a * iv.upper + b, 0.9)
-                for iv in ivs]
-        cov2, _ = evaluate_coverage(ivs2, a * y + b)
+        cov2, _ = coverage(a * (v - 1) + b, a * (v + 0.5) + b, a * y + b)
         assert cov == cov2
 
 
@@ -127,10 +150,9 @@ class TestExchangeabilityGuarantee:
         for _ in range(reps):
             y_cal = rng.standard_normal(99)
             y_test = rng.standard_normal(100)
-            cal = calibrate([(y, -0.5, 0.5) for y in y_cal], alpha)
-            ivs = [conformalize(PredictionInterval(-0.5, 0.5, 1 - alpha), cal)
-                   for _ in y_test]
-            cov, _ = evaluate_coverage(ivs, y_test)
+            cal = calibrate(scores(y_cal, np.full(99, -0.5), np.full(99, 0.5)), alpha)
+            lo, hi = conformalize(np.full(100, -0.5), np.full(100, 0.5), cal.qhat)
+            cov, _ = coverage(lo, hi, y_test)
             covs.append(cov)
         covs = np.asarray(covs)
         se = covs.std(ddof=1) / np.sqrt(reps)
@@ -139,7 +161,7 @@ class TestExchangeabilityGuarantee:
 
 class TestRecord:
     def test_round_trip(self):
-        cal = calibrate([(5.0, 3.0, 7.0), (9.0, 3.0, 7.0)], 0.2)
+        cal = calibrate(scores([5.0, 9.0], [3.0, 3.0], [7.0, 7.0]), 0.2)
         text = cal.to_record()
         back = ConformalCalibration.from_record(text)
         assert back.alpha == cal.alpha
@@ -149,3 +171,23 @@ class TestRecord:
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             ConformalCalibration.from_record("not a record")
+
+    @pytest.mark.parametrize("text,match", [
+        ("conformal-calibration v1\nalpha=0.1\nn=3\n", "'qhat'"),
+        ("conformal-calibration v1\nalpha=0.1\nqhat=0.5\n", "'n'"),
+        ("conformal-calibration v1\nalpha=0.1\nn=3\nqhat=wide\n", "'qhat'"),
+        ("conformal-calibration v1\nalpha=0.1\nn=3\nqhat=nan\n", "finite"),
+        ("conformal-calibration v1\nalpha=0.1\nn=3\nqhat 0.5\n", "key=value"),
+    ])
+    def test_malformed_fields_rejected(self, text, match):
+        with pytest.raises(DomainError, match=match):
+            ConformalCalibration.from_record(text)
+
+    def test_load_names_the_path(self, tmp_path):
+        missing = str(tmp_path / "nope.txt")
+        with pytest.raises(DomainError, match="nope.txt"):
+            ConformalCalibration.load(missing)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("conformal-calibration v1\nalpha=0.1\nn=3\n")
+        with pytest.raises(DomainError, match="bad.txt.*'qhat'"):
+            ConformalCalibration.load(str(bad))

@@ -16,6 +16,7 @@ from quantpred.qnn import (
     loss_and_gradient,
     pinball_loss,
     predict_interval,
+    predict_intervals,
     quantile_huber_loss,
     train,
 )
@@ -259,6 +260,27 @@ class TestTrain:
         for a, b in zip(n1.parameters(), n2.parameters()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("head,mono,kappa", [
+        ("multi", "increments", 0.0), ("multi", "penalty", 0.0),
+        ("multi", "increments", 0.5), ("implicit", "penalty", 0.0),
+    ])
+    def test_epoch_loss_is_loss_and_gradient_loss(self, head, mono, kappa):
+        # the forward-only epoch loss must be the training loss, bit for bit
+        grid = QuantileGrid([0.1, 0.5, 0.9])
+        ds = make_dataset(21, n=40, d=2)
+        cfg = TrainingConfig(epochs=2, batch_size=16, huber_kappa=kappa, seed=3)
+
+        def fresh():
+            return QuantileNetwork([2, 6, 3 if head == "multi" else 1], grid=grid,
+                                   activation="tanh", head=head, embedding_dim=8,
+                                   monotone=mono, penalty_weight=0.7, seed=4)
+
+        net, trace = train(fresh(), ds, grid, cfg)
+        assert trace[-1] == loss_and_gradient(net, ds, grid, cfg)[0]
+        start = fresh()
+        start.set_standardization(net.x_mean, net.x_std)
+        assert trace[0] == loss_and_gradient(start, ds, grid, cfg)[0]
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_raises_training_error(self):
         ds = make_dataset(6, n=32, d=2)
@@ -286,9 +308,20 @@ class TestPredictInterval:
     def test_ordered_bounds(self):
         grid = QuantileGrid([0.05, 0.5, 0.95])
         net = QuantileNetwork([1, 6, 3], grid=grid, seed=9)
-        iv = predict_interval(net, [0.3], 0.1)
-        assert iv.lower <= iv.upper
-        assert iv.level == pytest.approx(0.9)
+        lo, hi = predict_intervals(net, [[0.3]], 0.1)
+        assert lo.shape == hi.shape == (1,)
+        assert np.all(lo <= hi)
+
+    def test_crossed_penalty_pairs_are_ordered(self):
+        grid = QuantileGrid([0.05, 0.95])
+        net = QuantileNetwork([1, 2], grid=grid, monotone="penalty", seed=9)
+        net.weights[0][...] = [[1.0, -1.0]]
+        X = np.array([[-1.0], [0.0], [2.0]])
+        q = net.quantiles_at(X, [0.05, 0.95])
+        assert np.any(q[:, 0] > q[:, 1])  # the raw pairs do cross
+        lo, hi = predict_intervals(net, X, 0.1)
+        assert np.array_equal(lo, q.min(axis=1))
+        assert np.array_equal(hi, q.max(axis=1))
 
     def test_near_degenerate_alpha(self):
         # a fitted model with coinciding levels collapses to the median
@@ -296,21 +329,53 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 2], grid=grid, seed=9)
         net.weights[0][...] = 0.0
         net.biases[0][...] = [1.25, softplus_inv(1e-6)]
-        iv = predict_interval(net, [0.3], 0.999)
-        assert iv.lower == pytest.approx(1.25)
-        assert iv.width == pytest.approx(1e-6)
+        lo, hi = predict_intervals(net, [[0.3]], 0.999)
+        assert lo[0] == pytest.approx(1.25)
+        assert hi[0] - lo[0] == pytest.approx(1e-6)
 
     def test_missing_level_rejected(self):
         grid = QuantileGrid([0.25, 0.75])
         net = QuantileNetwork([1, 4, 2], grid=grid, seed=0)
         with pytest.raises(DomainError):
-            predict_interval(net, [0.0], 0.1)
+            predict_intervals(net, [[0.0]], 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        grid = QuantileGrid([0.25, 0.5, 0.75])
+        net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
+        with pytest.raises(DomainError, match="alpha"):
+            predict_intervals(net, [[0.0]], alpha)
 
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
                               monotone="penalty", seed=2)
-        iv = predict_interval(net, [0.5], 0.37)
-        assert iv.lower <= iv.upper
+        lo, hi = predict_intervals(net, [[0.5]], 0.37)
+        assert np.all(lo <= hi)
+
+    def test_single_row_form(self):
+        grid = QuantileGrid([0.05, 0.5, 0.95])
+        net = QuantileNetwork([2, 6, 3], grid=grid, seed=9)
+        lo, hi = predict_intervals(net, [[0.3, -1.0]], 0.1)
+        assert predict_interval(net, [0.3, -1.0], 0.1) == (lo[0], hi[0])
+
+    @pytest.mark.parametrize("head", ["multi", "implicit"])
+    def test_matches_one_row_at_a_time(self, head):
+        alpha = 0.1
+        if head == "multi":
+            net = QuantileNetwork([3, 16, 16, 3],
+                                  grid=QuantileGrid([0.05, 0.5, 0.95]), seed=5)
+        else:
+            net = QuantileNetwork([3, 16, 1], head="implicit", embedding_dim=8,
+                                  monotone="penalty", seed=5)
+        net.set_standardization([0.1, -0.2, 0.3], [1.5, 0.5, 2.0])
+        X = RandomSource(6).stream("rows").standard_normal((200, 3)) * 3.0
+        lo, hi = predict_intervals(net, X, alpha)
+        ref = np.array([np.sort(net.quantiles_at(x[None, :],
+                                                 [alpha / 2, 1 - alpha / 2])[0])
+                        for x in X])
+        for got, want in ((lo, ref[:, 0]), (hi, ref[:, 1])):
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestSerialization:
