@@ -107,9 +107,9 @@ _CONFIG_DEFAULTS = {
         "huber_kappa": "0.0",
         "seed": "0",
     },
-    "calibrate": {"alpha": "0.1", "split": "0.5", "seed": "0"},
+    "calibrate": {"alpha": "0.1"},
     "predict": {"alpha": "0.1", "taus": ""},
-    "eval": {"alpha": "0.1", "method": "qnn", "bandwidth": "0.3", "seed": "0"},
+    "eval": {"alpha": "0.1", "method": "qnn", "bandwidth": "0.3"},
     "demo": {
         "seed": "4",
         "n": "100",
@@ -128,21 +128,39 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _parses(kind, text):
+    try:
+        return math.isfinite(kind(text))
+    except ValueError:
+        return False
+
+
 def load_config(path=None):
-    """Defaults merged with an INI-style config file; unknown keys rejected."""
+    """Defaults merged with an INI-style config file; unknown keys, file
+    syntax errors and anything but a finite number where the default is a
+    number are rejected."""
     cfg = {section: dict(values) for section, values in _CONFIG_DEFAULTS.items()}
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
     if not os.path.exists(path):
         raise CLIError(f"config file not found: {path}")
-    parser.read(path)
-    for section in parser.sections():
+    try:
+        parser.read(path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        detail = " ".join(str(exc).split())  # configparser spans lines
+        raise CLIError(f"{path}: malformed config file: {detail}") from None
+    for section, pairs in items.items():
         if section not in cfg:
             raise CLIError(f"{path}: unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key, value in pairs:
             if key not in cfg[section]:
                 raise CLIError(f"{path}: unknown key {key!r} in [{section}]")
+            for kind, noun in ((int, "an integer"), (float, "a finite number")):
+                if _parses(kind, cfg[section][key]) and not _parses(kind, value):
+                    raise CLIError(
+                        f"{path}: [{section}] {key} = {value!r} is not {noun}")
             cfg[section][key] = value
     return cfg
 
@@ -297,10 +315,9 @@ def cmd_eval(args):
             raise CLIError("eval with method kernel requires --train-data")
         train = ingest_csv(args.train_data, args.target)
         kc = kernel.KernelConfig(float(cfg["bandwidth"]))
-        preds = np.array([kernel.nw_estimate(train, x, kc) for x in data.features])
+        preds = kernel.nw_predict(train, data.features, kc)
         # fixed width from the alpha-quantile of absolute training residuals
-        tr_pred = [kernel.nw_estimate(train, x, kc) for x in train.features]
-        resid = np.abs(train.targets - np.asarray(tr_pred))
+        resid = np.abs(train.targets - kernel.nw_predict(train, train.features, kc))
         half = conformal.conformal_quantile(resid, alpha, resid.size)
         lo, hi = preds - half, preds + half
     else:

@@ -330,10 +330,10 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
 
         # NW mean +- fixed split-conformal width on absolute residuals
         kc = kernel.KernelConfig(config.nw_bandwidth)
-        cal_pred = np.array([kernel.nw_estimate(train_ds, x, kc) for x in X_cal])
+        cal_pred = kernel.nw_predict(train_ds, X_cal, kc)
         half = conformal.calibrate(
             conformal.scores(y_cal, cal_pred, cal_pred), alpha).qhat
-        te_pred = np.array([kernel.nw_estimate(train_ds, x, kc) for x in X_te])
+        te_pred = kernel.nw_predict(train_ds, X_te, kc)
         c, w = conformal.coverage(te_pred - half, te_pred + half, y_te)
         cov["nw"].append(c)
         wid["nw"].append(w)

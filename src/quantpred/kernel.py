@@ -11,73 +11,62 @@ from .numerics import DomainError
 
 # smallest positive normal double; below this every weight has underflowed
 _TINY = np.finfo(float).tiny
+# kernel values per block of queries: 512 KB, so the work arrays stay in cache
+_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
 class KernelConfig:
     bandwidth: float
-    kernel_form: str = "radial"  # "radial" or "inner_product"
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise DomainError("bandwidth must be positive")
-        if self.kernel_form not in ("radial", "inner_product"):
-            raise DomainError(f"unknown kernel form {self.kernel_form!r}")
 
 
-def gaussian_kernel(x, x_prime, config: KernelConfig) -> float:
-    """exp(-||x - x'||^2 / (2 sigma^2)) for the radial form, or the
-    inner-product variant exp(x.x' / (2 sigma^2))."""
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    b = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    if a.shape != b.shape:
-        raise DomainError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
+    """Kernel-weighted averages sum(y_i K(x, x_i)) / sum(K(x, x_i)) at the
+    rows x of Xq, with K(x, x') = exp(-||x - x'||^2 / (2 sigma^2)).
+
+    Each query's weights are shifted by its nearest squared distance, which
+    cancels in the ratio and makes the nearest weight exactly 1, so a tiny
+    bandwidth gives the nearest target, the formula's limit. Queries whose
+    unshifted weights would all underflow trigger a RuntimeWarning.
+    """
+    X, y = train.features, train.targets
+    n, d = X.shape
+    Q = np.asarray(Xq, dtype=float)
+    if n == 0:
+        raise DomainError("training set must be non-empty")
+    if Q.ndim != 2 or Q.shape[1] != d:
+        raise DomainError(f"queries of shape {Q.shape} do not have {d} columns")
     s2 = 2.0 * config.bandwidth ** 2
-    if config.kernel_form == "inner_product":
-        return float(np.exp(np.dot(a, b) / s2))
-    d = a - b
-    return float(np.exp(-np.dot(d, d) / s2))
+    XT = np.ascontiguousarray(X.T)
+    rows = max(1, _BLOCK // n)
+    k = np.empty((min(rows, Q.shape[0]), n))
+    tmp = np.empty_like(k)
+    out = np.empty(Q.shape[0])
+    underflowed = 0
+    for start in range(0, Q.shape[0], rows):
+        q = Q[start:start + rows]
+        kb, tb = k[:q.shape[0]], tmp[:q.shape[0]]
+        kb.fill(0.0)
+        for j in range(d):  # kb = squared distances
+            np.subtract(XT[j], q[:, j:j + 1], out=tb)
+            tb *= tb
+            kb += tb
+        d2min = kb.min(axis=1)
+        underflowed += np.count_nonzero(np.exp(-d2min / s2) < _TINY)
+        kb -= d2min[:, None]
+        kb /= -s2
+        np.exp(kb, out=kb)
+        out[start:start + q.shape[0]] = (kb @ y) / kb.sum(axis=1)
+    if underflowed:
+        warnings.warn(f"all kernel weights underflowed for {underflowed} of "
+                      f"{Q.shape[0]} queries", RuntimeWarning, stacklevel=2)
+    return out
 
 
 def nw_estimate(train, x, config: KernelConfig) -> float:
-    """Kernel-weighted average sum(y_i K(x, x_i)) / sum(K(x, x_i)).
-
-    When every kernel value underflows to a subnormal the normalized-weight
-    formula is 0/0; the limit is the nearest neighbor, so we return the
-    target of the closest training point and warn.
-    """
-    X = np.asarray(train.features, dtype=float)
-    y = np.asarray(train.targets, dtype=float)
-    if X.shape[0] == 0:
-        raise DomainError("training set must be non-empty")
-    q = np.atleast_1d(np.asarray(x, dtype=float))
-    if q.shape[0] != X.shape[1]:
-        raise DomainError(f"query dimension {q.shape[0]} != {X.shape[1]}")
-    diff = X - q[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    if config.kernel_form == "inner_product":
-        k = np.exp(X @ q / (2.0 * config.bandwidth ** 2))
-    else:
-        k = np.exp(-d2 / (2.0 * config.bandwidth ** 2))
-    total = k.sum()
-    if total < _TINY or np.max(k) < _TINY:
-        warnings.warn(
-            "all kernel weights underflowed; falling back to nearest neighbor",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float(y[np.argmin(d2)])
-    return float(np.dot(k, y) / total)
-
-
-def nw_weights(train, x, config: KernelConfig) -> np.ndarray:
-    """Normalized kernel weights at a query point (radial form)."""
-    X = np.asarray(train.features, dtype=float)
-    q = np.atleast_1d(np.asarray(x, dtype=float))
-    diff = X - q[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    k = np.exp(-d2 / (2.0 * config.bandwidth ** 2))
-    total = k.sum()
-    if total < _TINY:
-        raise DomainError("kernel weights underflowed; no normalization")
-    return k / total
+    """nw_predict at the single query point x."""
+    return float(nw_predict(train, np.reshape(x, (1, -1)), config)[0])

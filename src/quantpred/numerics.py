@@ -1,6 +1,6 @@
 """Shared deterministic numerics: normal distribution functions, empirical
-CDF/quantile machinery, the probability integral transform, the
-mid-distribution transform, and a seeded random source."""
+CDF/quantile machinery, the probability integral transform, and a seeded
+random source."""
 
 from __future__ import annotations
 
@@ -9,21 +9,11 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class UnitInterval(float):
-    """A probability in the closed interval [0, 1]."""
-
-    def __new__(cls, value):
-        v = float(value)
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"value {value!r} outside [0, 1]")
-        return super().__new__(cls, v)
 
 
 def _check_prob(p, name="p"):
@@ -58,63 +48,15 @@ def normal_pdf(x, mu=0.0, sigma=1.0):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-# Rational approximation coefficients (Acklam's algorithm for the inverse
-# standard-normal CDF), used only as the initial guess before Newton
-# refinement against normal_cdf.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_PLOW = 0.02425
-
-
-def _acklam(p):
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-
-    lo = p < _ACK_PLOW
-    hi = p > 1.0 - _ACK_PLOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num * q / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[hi] = -num / den
-    return x
-
-
 def normal_quantile(p, mu=0.0, sigma=1.0):
-    """Inverse of normal_cdf: rational initial guess plus two Newton steps.
-
-    p in the open interval (0, 1); p = 0 or 1 would be infinite.
-    """
+    """Inverse of normal_cdf; p in the open interval (0, 1), since p = 0
+    or 1 would be infinite."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     parr = np.asarray(p, dtype=float)
     if np.any(parr <= 0.0) or np.any(parr >= 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")
-    z = _acklam(parr)
-    for _ in range(2):
-        err = 0.5 * erfc(-z / _SQRT2) - parr
-        z = z - err * _SQRT_2PI * np.exp(0.5 * z * z)
-    out = mu + sigma * z
+    out = mu + sigma * ndtri(parr)
     return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
 
 
@@ -124,10 +66,9 @@ def normal_quantile(p, mu=0.0, sigma=1.0):
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Samples in ascending order, optionally with probability masses."""
+    """Samples in ascending order, each with mass 1/n."""
 
     values: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -136,22 +77,10 @@ class EmpiricalDistribution:
         if np.any(np.diff(v) < 0):
             raise DomainError("values must be non-decreasing")
         object.__setattr__(self, "values", v)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != v.shape:
-                raise DomainError("weights must match values in length")
-            if np.any(w < 0):
-                raise DomainError("weights must be non-negative")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise DomainError("weights must sum to 1 within 1e-12")
-            object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_samples(cls, samples, weights=None):
-        s = np.asarray(samples, dtype=float)
-        order = np.argsort(s, kind="stable")
-        w = None if weights is None else np.asarray(weights, dtype=float)[order]
-        return cls(s[order], w)
+    def from_samples(cls, samples):
+        return cls(np.sort(np.asarray(samples, dtype=float), kind="stable"))
 
     @property
     def n(self):
@@ -159,33 +88,16 @@ class EmpiricalDistribution:
 
     def cdf(self, y):
         """Right-continuous empirical F(y) = P(Y <= y)."""
-        idx = np.searchsorted(self.values, y, side="right")
-        if self.weights is None:
-            return idx / self.n
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        return cum[idx]
-
-    def point_mass(self, y):
-        lo = np.searchsorted(self.values, y, side="left")
-        hi = np.searchsorted(self.values, y, side="right")
-        if self.weights is None:
-            return (hi - lo) / self.n
-        return float(np.sum(self.weights[lo:hi]))
+        return np.searchsorted(self.values, y, side="right") / self.n
 
 
 def empirical_quantile(dist: EmpiricalDistribution, tau) -> float:
     """Generalized inverse inf{t : F(t) >= tau} of the right-continuous
     empirical CDF (type-1 quantile); values are always sample points."""
     tau = float(_check_prob(tau, "tau"))
-    v = dist.values
-    if dist.weights is None:
-        grid = np.arange(1, dist.n + 1) / dist.n
-    else:
-        grid = np.cumsum(dist.weights)
-        grid[-1] = max(grid[-1], 1.0)  # guard cumsum rounding at the top
-    k = int(np.searchsorted(grid, tau, side="left"))
-    k = min(k, dist.n - 1)
-    return float(v[k])
+    grid = np.arange(1, dist.n + 1) / dist.n
+    k = min(int(np.searchsorted(grid, tau, side="left")), dist.n - 1)
+    return float(dist.values[k])
 
 
 def conformal_quantile(scores, alpha, n=None) -> float:
@@ -204,16 +116,6 @@ def conformal_quantile(scores, alpha, n=None) -> float:
     if k > n:
         return float(s[-1])
     return float(s[max(k, 1) - 1])
-
-
-def mid_cdf(dist: EmpiricalDistribution, y, strict=False) -> float:
-    """Mid-distribution transform F(y) - p(y)/2 for a discrete distribution."""
-    if dist.weights is None:
-        raise DomainError("mid_cdf requires a weighted (discrete) distribution")
-    p = dist.point_mass(y)
-    if strict and p == 0.0:
-        raise DomainError(f"y={y} is not in the support")
-    return float(dist.cdf(y) - 0.5 * p)
 
 
 @dataclass(frozen=True)
@@ -242,21 +144,6 @@ def ks_critical_value(n, level=0.05) -> float:
     if level not in c:
         raise DomainError(f"no tabulated constant for level {level}")
     return c[level] / math.sqrt(n)
-
-
-def composite_quantile_check(dist: EmpiricalDistribution, g, tau) -> bool:
-    """Whether the push-forward identity Q_{g(Y)}(tau) = g(Q_Y(tau)) holds
-    exactly for a strictly increasing map g."""
-    gv = np.asarray([g(v) for v in dist.values], dtype=float)
-    dg = np.diff(gv)
-    # ties in g-values from float rounding keep the identity intact; only a
-    # genuinely decreasing map breaks monotonicity
-    if np.any(dg < 0):
-        raise DomainError("g is not increasing on the sample range")
-    transformed = EmpiricalDistribution(gv, dist.weights)
-    lhs = empirical_quantile(transformed, tau)
-    rhs = g(empirical_quantile(dist, tau))
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ class TrainingConfig:
     epochs: int = 100
     huber_kappa: float = 0.0  # 0 selects pure pinball loss
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -100,8 +99,6 @@ class TrainingConfig:
             raise DomainError("batch_size must be at least 1")
         if self.huber_kappa < 0:
             raise DomainError("huber_kappa must be non-negative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise DomainError(f"unknown optimizer {self.optimizer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +283,6 @@ class QuantileNetwork:
         return q[:, idx]
 
 
-def forward(net: QuantileNetwork, x, taus=None):
-    """Quantile predictions for a single input as a flat vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    if taus is not None and not isinstance(taus, np.ndarray):
-        taus = getattr(taus, "levels", taus)
-    return net.forward_batch(x[None, :], taus)[0]
-
-
 # ---------------------------------------------------------------------------
 # The forward pass, the loss, and its gradient (manual backprop)
 # ---------------------------------------------------------------------------
@@ -430,10 +419,9 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     net.set_standardization(mean, std)
 
     params = net.parameters()
-    if config.optimizer == "adam":
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     levels = _levels(taus)
@@ -452,18 +440,14 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
                 raise TrainingError(epoch, start // config.batch_size,
                                     f"non-finite loss {loss}")
             step += 1
-            if config.optimizer == "adam":
-                for p, g, mi, vi in zip(params, grads, m, v):
-                    mi *= beta1
-                    mi += (1 - beta1) * g
-                    vi *= beta2
-                    vi += (1 - beta2) * g * g
-                    mhat = mi / (1 - beta1 ** step)
-                    vhat = vi / (1 - beta2 ** step)
-                    p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-            else:
-                for p, g in zip(params, grads):
-                    p -= config.learning_rate * g
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= beta1
+                mi += (1 - beta1) * g
+                vi *= beta2
+                vi += (1 - beta2) * g * g
+                mhat = mi / (1 - beta1 ** step)
+                vhat = vi / (1 - beta2 ** step)
+                p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
         epoch_loss = _full_loss(net, data, levels, config.huber_kappa)
         if not np.isfinite(epoch_loss):
             raise TrainingError(epoch, -1, f"non-finite epoch loss {epoch_loss}")

@@ -4,10 +4,13 @@ demo reproducibility."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quantpred
 from quantpred import cli, conformal, qnn
 from quantpred.cli import (
     CLIError,
@@ -17,6 +20,8 @@ from quantpred.cli import (
     main,
 )
 from quantpred.numerics import RandomSource
+
+SRC = os.path.dirname(os.path.dirname(quantpred.__file__))
 
 
 def write(path, text):
@@ -131,10 +136,38 @@ class TestConfig:
         with pytest.raises(CLIError, match=r"unknown config section \[serve\]"):
             load_config(p)
 
-    def test_unknown_key_rejected(self, tmp_path):
-        p = write(tmp_path / "c.ini", "[train]\nmomentum = 0.9\n")
-        with pytest.raises(CLIError, match="unknown key 'momentum'"):
+    @pytest.mark.parametrize("section, key", [
+        ("train", "momentum"), ("calibrate", "split"), ("calibrate", "seed"),
+        ("eval", "seed"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        p = write(tmp_path / "c.ini", f"[{section}]\n{key} = 0.9\n")
+        with pytest.raises(CLIError, match=f"unknown key '{key}'"):
             load_config(p)
+
+    @pytest.mark.parametrize("text", [
+        b"epochs = 5\n",                          # no section header
+        b"[train]\nepochs = 5\nepochs = 6\n",     # duplicate key
+        b"[train]\nepochs = abc\n",               # not a number
+        b"[train]\nepochs = \xff\n",              # not UTF-8
+        b"[train]\nhuber_kappa = nan\n",          # not finite
+    ], ids=["no-section", "duplicate-key", "non-numeric", "not-utf8", "nan"])
+    def test_malformed_file_is_a_structured_error(self, tmp_path, text):
+        data = make_data_csv(tmp_path / "d.csv", 20)
+        conf = str(tmp_path / "c.ini")
+        with open(conf, "wb") as fh:
+            fh.write(text)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantpred.cli", "train", "--data", data,
+             "--target", "y", "--config", conf, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert conf in lines[0]
+        assert "Traceback" not in proc.stderr
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(CLIError, match="config file not found"):

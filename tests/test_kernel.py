@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from quantpred.kernel import KernelConfig, gaussian_kernel, nw_estimate, nw_weights
+from quantpred import kernel
+from quantpred.kernel import KernelConfig, nw_estimate, nw_predict
 from quantpred.numerics import DomainError, RandomSource
 from quantpred.qnn import Dataset
 
@@ -12,51 +15,18 @@ def make_train(seed=0, n=30, d=2):
 
 
 class TestGaussianKernel:
-    def test_identity_point(self):
-        cfg = KernelConfig(1.5)
-        assert gaussian_kernel([1.0, 2.0], [1.0, 2.0], cfg) == 1.0
-
-    def test_distance_sigma_sqrt2(self):
-        sigma = 0.7
-        cfg = KernelConfig(sigma)
-        x = np.zeros(3)
-        xp = np.array([sigma * np.sqrt(2.0), 0.0, 0.0])
-        assert gaussian_kernel(x, xp, cfg) == pytest.approx(np.exp(-1.0))
-
-    def test_symmetry(self):
-        cfg = KernelConfig(2.0)
-        rng = RandomSource(1).stream("pairs")
-        for _ in range(50):
-            a, b = rng.standard_normal(4), rng.standard_normal(4)
-            assert gaussian_kernel(a, b, cfg) == gaussian_kernel(b, a, cfg)
-
-    def test_range(self):
-        cfg = KernelConfig(1.0)
-        rng = RandomSource(2).stream("pairs")
-        for _ in range(50):
-            a, b = rng.standard_normal(3), rng.standard_normal(3)
-            v = gaussian_kernel(a, b, cfg)
-            assert 0.0 < v <= 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            gaussian_kernel([1.0], [1.0, 2.0], KernelConfig(1.0))
-
     def test_bad_bandwidth(self):
         with pytest.raises(DomainError):
             KernelConfig(0.0)
-
-    def test_inner_product_form(self):
-        cfg = KernelConfig(1.0, "inner_product")
-        assert gaussian_kernel([1.0, 1.0], [1.0, 1.0], cfg) == pytest.approx(np.e)
 
 
 class TestNWEstimate:
     def test_single_training_point(self):
         train = Dataset([[0.5, 0.5]], [4.2])
         cfg = KernelConfig(1.0)
-        for q in ([0.5, 0.5], [100.0, -7.0]):
-            assert nw_estimate(train, q, cfg) == 4.2
+        assert nw_estimate(train, [0.5, 0.5], cfg) == 4.2
+        with pytest.warns(RuntimeWarning, match="all kernel weights underflowed"):
+            assert nw_estimate(train, [100.0, -7.0], cfg) == 4.2
 
     def test_flat_limit_is_mean(self):
         train = make_train(3)
@@ -77,12 +47,6 @@ class TestNWEstimate:
         for _ in range(20):
             v = nw_estimate(train, rng.standard_normal(2), cfg)
             assert train.targets.min() <= v <= train.targets.max()
-
-    def test_weights_sum_to_one(self):
-        train = make_train(6)
-        w = nw_weights(train, [0.3, 0.3], KernelConfig(1.0))
-        assert np.all(w >= 0)
-        assert abs(w.sum() - 1.0) < 1e-12
 
     def test_permutation_invariance(self):
         train = make_train(7, n=15)
@@ -106,3 +70,41 @@ class TestNWEstimate:
         train = Dataset(np.empty((0, 1)), np.empty(0))
         with pytest.raises(DomainError):
             nw_estimate(train, [0.0], KernelConfig(1.0))
+
+
+def reference_nw(train, x, config):
+    """One query at a time, unshifted weights: sum(y K) / sum(K)."""
+    diff = train.features - np.asarray(x, dtype=float)[None, :]
+    k = np.exp(-np.einsum("ij,ij->i", diff, diff) / (2.0 * config.bandwidth ** 2))
+    return float(np.dot(k, train.targets) / k.sum())
+
+
+class TestNWPredict:
+    @pytest.mark.parametrize("n, m", [(30, 5000), (kernel._BLOCK + 7, 3)])
+    def test_matches_per_query_reference(self, n, m):
+        # (30, 5000): queries span several blocks; (BLOCK + 7, 3): the
+        # training set outgrows one block, so each block holds one query.
+        # Targets in (1, 2) keep estimates away from 0, where a relative
+        # error means nothing.
+        rng = RandomSource(11).stream("nw-reference")
+        train = Dataset(rng.uniform(-2, 2, (n, 2)), rng.uniform(1, 2, n))
+        Xq = rng.uniform(-2, 2, (m, 2))
+        cfg = KernelConfig(0.5)
+        ref = np.array([reference_nw(train, x, cfg) for x in Xq])
+        got = nw_predict(train, Xq, cfg)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    def test_warns_only_for_underflowing_queries(self):
+        train = Dataset([[0.5, 0.5]], [4.2])
+        cfg = KernelConfig(1.0)
+        with pytest.warns(RuntimeWarning, match="for 1 of 2 queries"):
+            got = nw_predict(train, [[0.5, 0.6], [100.0, -7.0]], cfg)
+        assert got.tolist() == [4.2, 4.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nw_predict(train, [[0.5, 0.6]], cfg)
+
+    def test_query_width_must_match(self):
+        with pytest.raises(DomainError):
+            nw_predict(make_train(1), [[0.0, 0.0, 0.0]], KernelConfig(1.0))

@@ -12,7 +12,6 @@ from quantpred.qnn import (
     QuantileNetwork,
     TrainingConfig,
     TrainingError,
-    forward,
     loss_and_gradient,
     pinball_loss,
     predict_interval,
@@ -86,21 +85,21 @@ class TestForward:
         net = QuantileNetwork([2, 4, 3], grid=grid, monotone="penalty", seed=0)
         for W in net.weights:
             W[...] = 0.0
-        assert np.array_equal(forward(net, [1.0, -2.0]), np.zeros(3))
+        assert np.array_equal(net.forward_batch([1.0, -2.0]), np.zeros((1, 3)))
 
     def test_increments_cumulative_sum(self):
         grid = QuantileGrid([0.1, 0.5, 0.9])
         net = QuantileNetwork([1, 3], grid=grid, seed=0)  # single linear layer
         net.weights[0][...] = 0.0
         net.biases[0][...] = [1.0, softplus_inv(0.5), softplus_inv(0.25)]
-        out = forward(net, [0.0])
+        out = net.forward_batch([0.0])[0]
         assert out == pytest.approx([1.0, 1.5, 1.75])
 
     def test_dimension_mismatch(self):
         grid = QuantileGrid([0.5])
         net = QuantileNetwork([2, 4, 1], grid=grid, seed=0)
         with pytest.raises(DomainError):
-            forward(net, [1.0, 2.0, 3.0])
+            net.forward_batch([1.0, 2.0, 3.0])
 
     def test_implicit_matches_straight_line_oracle(self):
         # independent re-implementation of the implicit-head arithmetic
@@ -286,8 +285,7 @@ class TestTrain:
         ds = make_dataset(6, n=32, d=2)
         grid = QuantileGrid([0.5])
         net = QuantileNetwork([2, 8, 1], grid=grid, seed=6)
-        cfg = TrainingConfig(learning_rate=1e150, epochs=3, batch_size=16,
-                             seed=6, optimizer="sgd")
+        cfg = TrainingConfig(learning_rate=1e300, epochs=3, batch_size=16, seed=6)
         with pytest.raises(TrainingError):
             train(net, ds, grid, cfg)
 
@@ -427,8 +425,6 @@ class TestValidation:
             TrainingConfig(learning_rate=0.0)
         with pytest.raises(DomainError):
             TrainingConfig(epochs=0)
-        with pytest.raises(DomainError):
-            TrainingConfig(optimizer="lbfgs")
 
     def test_multi_head_needs_matching_output(self):
         with pytest.raises(DomainError):
