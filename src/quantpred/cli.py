@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import analytic, conformal, experiments, kernel, qnn
+from .experiments import fmt, write_csv
 from .numerics import DomainError
 
 
@@ -23,15 +24,12 @@ class CLIError(Exception):
     """A structured, user-facing error."""
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv(path):
+def ingest_features(path) -> tuple:
+    """Parse a headed numeric csv into (rows as an array, header names)."""
     if not os.path.exists(path):
         raise CLIError(f"file not found: {path}")
     with open(path, newline="") as fh:
@@ -43,10 +41,9 @@ def _read_csv(path):
         rows = list(reader)
     if not header or any(not h.strip() for h in header):
         raise CLIError(f"{path}: malformed header row")
-    return [h.strip() for h in header], rows
-
-
-def _parse_rows(path, header, rows):
+    header = tuple(h.strip() for h in header)
+    if not rows:
+        raise CLIError(f"{path}: no data rows")
     data = np.empty((len(rows), len(header)))
     for r, row in enumerate(rows, start=2):  # header is line 1
         if len(row) != len(header):
@@ -63,31 +60,18 @@ def _parse_rows(path, header, rows):
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
             data[r - 2, c] = v
-    return data
+    return data, header
 
 
 def ingest_csv(path, target_column) -> qnn.Dataset:
-    """Parse a headed numeric csv into a Dataset, target column extracted."""
-    header, rows = _read_csv(path)
+    """ingest_features as a Dataset, with the target column taken out."""
+    data, header = ingest_features(path)
     if target_column not in header:
         raise CLIError(f"{path}: no column named {target_column!r}; "
-                       f"available: {header}")
-    data = _parse_rows(path, header, rows)
-    if data.shape[0] == 0:
-        raise CLIError(f"{path}: no data rows")
-    ti = header.index(target_column)
-    mask = [i for i in range(len(header)) if i != ti]
-    names = tuple(header[i] for i in mask)
-    return qnn.Dataset(data[:, mask], data[:, ti], names)
-
-
-def ingest_features(path) -> tuple:
-    """Parse a headed numeric csv as feature rows only."""
-    header, rows = _read_csv(path)
-    data = _parse_rows(path, header, rows)
-    if data.shape[0] == 0:
-        raise CLIError(f"{path}: no data rows")
-    return data, tuple(header)
+                       f"available: {list(header)}")
+    keep = [i for i, h in enumerate(header) if h != target_column]
+    return qnn.Dataset(data[:, keep], data[:, header.index(target_column)],
+                       tuple(header[i] for i in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +149,34 @@ def load_config(path=None):
     return cfg
 
 
-def _parse_taus(text):
+def _settings(args):
+    """The command's config section: the defaults, then --config, then each
+    flag of the same name given with a non-empty value."""
+    cfg = load_config(args.config)[args.command]
+    for key in cfg:
+        flag = getattr(args, key, None)
+        if flag not in (None, ""):
+            cfg[key] = str(flag)
+    return cfg
+
+
+def _parse_list(text, kind, noun):
+    """The comma-separated numbers of the given kind in text."""
     try:
-        levels = [float(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise CLIError(f"malformed quantile list {text!r}") from None
+        raise CLIError(f"malformed {noun} list {text!r}") from None
+
+
+def _parse_taus(text):
+    levels = _parse_list(text, float, "quantile")
     if not levels:
         raise CLIError("empty quantile list")
     return qnn.QuantileGrid(sorted(levels))
 
 
-def _config_echo(section, values, out_dir, name):
-    with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump({section: values}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each reads its resolved config section and writes its outputs
 # ---------------------------------------------------------------------------
 
 def _load_calibration(path, alpha):
@@ -194,17 +188,10 @@ def _load_calibration(path, alpha):
     return cal
 
 
-def cmd_train(args):
-    cfg = load_config(args.config)["train"]
-    if args.taus:
-        cfg["taus"] = args.taus
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.monotone:
-        cfg["monotone"] = args.monotone
+def cmd_train(args, cfg):
     data = ingest_csv(args.data, args.target)
     grid = _parse_taus(cfg["taus"])
-    hidden = [int(h) for h in cfg["hidden"].split(",") if h.strip()]
+    hidden = _parse_list(cfg["hidden"], int, "hidden-layer")
     net = qnn.QuantileNetwork(
         [data.d, *hidden, len(grid)], grid=grid,
         activation=cfg["activation"], monotone=cfg["monotone"],
@@ -220,26 +207,17 @@ def cmd_train(args):
     net, trace = qnn.train(net, data, grid, tc)
 
     os.makedirs(args.out, exist_ok=True)
-    model_path = os.path.join(args.out, "model.qnet")
-    qnn.save(net, model_path)
+    qnn.save(net, os.path.join(args.out, "model.qnet"))
     preds = net.forward_batch(data.features)
-    with open(os.path.join(args.out, "train_report.csv"), "w") as fh:
-        fh.write("tau,final_pinball_loss\n")
-        for k, tau in enumerate(grid.levels):
-            lk = float(np.mean(qnn.pinball_loss(data.targets - preds[:, k], tau)))
-            fh.write(f"{_fmt(tau)},{_fmt(lk)}\n")
-    _config_echo("train", cfg, args.out, "train_meta.json")
-    with open(os.path.join(args.out, "loss_trace.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for e, loss in enumerate(trace):
-            fh.write(f"{e},{_fmt(loss)}\n")
-    return 0
+    losses = [np.mean(qnn.pinball_loss(data.targets - preds[:, k], tau))
+              for k, tau in enumerate(grid.levels)]
+    write_csv(os.path.join(args.out, "train_report.csv"),
+              ["tau", "final_pinball_loss"], zip(grid.levels, losses))
+    write_csv(os.path.join(args.out, "loss_trace.csv"), ["epoch", "loss"],
+              enumerate(trace))
 
 
-def cmd_calibrate(args):
-    cfg = load_config(args.config)["calibrate"]
-    if args.alpha is not None:
-        cfg["alpha"] = str(args.alpha)
+def cmd_calibrate(args, cfg):
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
     data = ingest_csv(args.data, args.target)
@@ -248,23 +226,15 @@ def cmd_calibrate(args):
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "calibration.txt"), "w") as fh:
         fh.write(cal.to_record())
-    _config_echo("calibrate", cfg, args.out, "calibrate_meta.json")
-    return 0
 
 
-def cmd_predict(args):
-    cfg = load_config(args.config)["predict"]
-    if args.alpha is not None:
-        cfg["alpha"] = str(args.alpha)
-    if args.taus:
-        cfg["taus"] = args.taus
+def cmd_predict(args, cfg):
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
     X, header = ingest_features(args.data)
     if args.target and args.target in header:
-        keep = [i for i, h in enumerate(header) if h != args.target]
-        X = X[:, keep]
+        X = X[:, [i for i, h in enumerate(header) if h != args.target]]
     if X.shape[1] != net.layer_dims[0]:
         raise CLIError(f"model expects {net.layer_dims[0]} features, got {X.shape[1]}")
 
@@ -277,28 +247,18 @@ def cmd_predict(args):
         raise CLIError(str(exc)) from None
 
     cols = [quants]
+    names = ["row"] + [f"q{fmt(t)}" for t in levels]
     if cal is not None:
         lo, hi = qnn.predict_intervals(net, X, alpha)
         cols += conformal.conformalize(lo, hi, cal.qhat)
+        names += ["lower", "upper"]
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "predictions.csv"), "w") as fh:
-        header = [f"q{_fmt(t)}" for t in levels]
-        if cal is not None:
-            header += ["lower", "upper"]
-        fh.write(",".join(["row"] + header) + "\n")
-        for i, row in enumerate(np.column_stack(cols).tolist()):
-            fh.write(f"{i}," + ",".join(map(repr, row)) + "\n")
-    _config_echo("predict", cfg, args.out, "predict_meta.json")
-    return 0
+    write_csv(os.path.join(args.out, "predictions.csv"), names,
+              ([i, *row] for i, row in enumerate(np.column_stack(cols).tolist())))
 
 
-def cmd_eval(args):
-    cfg = load_config(args.config)["eval"]
-    if args.alpha is not None:
-        cfg["alpha"] = str(args.alpha)
-    if args.method:
-        cfg["method"] = args.method
+def cmd_eval(args, cfg):
     alpha = float(cfg["alpha"])
     data = ingest_csv(args.data, args.target)
 
@@ -314,28 +274,25 @@ def cmd_eval(args):
         if not args.train_data:
             raise CLIError("eval with method kernel requires --train-data")
         train = ingest_csv(args.train_data, args.target)
-        kc = kernel.KernelConfig(float(cfg["bandwidth"]))
-        preds = kernel.nw_predict(train, data.features, kc)
-        # fixed width from the alpha-quantile of absolute training residuals
-        resid = np.abs(train.targets - kernel.nw_predict(train, train.features, kc))
-        half = conformal.conformal_quantile(resid, alpha, resid.size)
-        lo, hi = preds - half, preds + half
+        if train.n < 2:
+            raise CLIError(f"{args.train_data}: eval with method kernel needs at "
+                           "least 2 rows, to fit and to calibrate")
+        # even rows fit the estimator, odd rows calibrate its half-width
+        X, y = train.features, train.targets
+        lo, hi = kernel.nw_intervals(
+            qnn.Dataset(X[0::2], y[0::2]), X[1::2], y[1::2], data.features,
+            kernel.KernelConfig(float(cfg["bandwidth"])), alpha)
     else:
         raise CLIError(f"unknown method {cfg['method']!r}")
 
     coverage, mean_width = conformal.coverage(lo, hi, data.targets)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval.csv"), "w") as fh:
-        fh.write("method,alpha,coverage,mean_width\n")
-        fh.write(f"{cfg['method']},{_fmt(alpha)},{_fmt(coverage)},{_fmt(mean_width)}\n")
-    _config_echo("eval", cfg, args.out, "eval_meta.json")
-    return 0
+    write_csv(os.path.join(args.out, "eval.csv"),
+              ["method", "alpha", "coverage", "mean_width"],
+              [(cfg["method"], alpha, coverage, mean_width)])
 
 
-def cmd_demo(args):
-    cfg = load_config(args.config)["demo"]
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
+def cmd_demo(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     if args.which == "normal-normal":
         experiments.run_normal_normal_demo(
@@ -365,8 +322,6 @@ def cmd_demo(args):
         )
     else:
         raise CLIError(f"unknown demo {args.which!r}")
-    _config_echo("demo", cfg, args.out, "demo_meta.json")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +387,22 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _settings(args)
+        # an overflow or invalid operation would put inf or NaN in the outputs
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.func(args, cfg)
+        # the settings the run used, echoed once its outputs are written
+        with open(os.path.join(args.out, f"{args.command}_meta.json"), "w") as fh:
+            json.dump({args.command: cfg}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return 0
+    except (FloatingPointError, OverflowError) as exc:
+        message = (f"{exc.args[-1]}: input values or settings too large for "
+                   "float arithmetic")
     except (CLIError, DomainError, qnn.TrainingError, analytic.NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = exc
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ and coverage evaluation. An interval set is a pair of arrays (lo, hi)."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,20 +14,15 @@ from .numerics import DomainError, conformal_quantile
 @dataclass(frozen=True)
 class ConformalCalibration:
     alpha: float
-    scores: np.ndarray
     qhat: float
     n: int
 
     def to_record(self) -> str:
-        digest = hashlib.sha256(
-            np.sort(np.asarray(self.scores, dtype="<f8")).tobytes()
-        ).hexdigest()
         return (
             f"conformal-calibration v1\n"
             f"alpha={self.alpha!r}\n"
             f"n={self.n}\n"
             f"qhat={self.qhat!r}\n"
-            f"score_sha256={digest}\n"
         )
 
     @classmethod
@@ -42,7 +36,7 @@ class ConformalCalibration:
             if not eq:
                 raise DomainError(f"calibration record line {line!r} is not key=value")
             kv[key] = value
-        # scores are summarized by digest only; the record carries qhat
+        # other keys, such as the score_sha256 of older records, are ignored
         fields = {}
         for name, parse in (("alpha", float), ("qhat", float), ("n", int)):
             if name not in kv:
@@ -55,7 +49,7 @@ class ConformalCalibration:
                 ) from None
         if not np.isfinite(fields["qhat"]):
             raise DomainError(f"calibration record qhat {fields['qhat']!r} is not finite")
-        return cls(scores=np.array([]), **fields)
+        return cls(**fields)
 
     @classmethod
     def load(cls, path) -> "ConformalCalibration":
@@ -100,8 +94,7 @@ def calibrate(scores, alpha) -> ConformalCalibration:
     s = np.asarray(scores, dtype=float).ravel()
     if s.size == 0:
         raise DomainError("calibration set must be non-empty")
-    qhat = conformal_quantile(s, alpha, s.size)
-    return ConformalCalibration(float(alpha), s, qhat, s.size)
+    return ConformalCalibration(float(alpha), conformal_quantile(s, alpha), s.size)
 
 
 def conformalize(lo, hi, qhat):

@@ -14,16 +14,18 @@ from . import analytic, conformal, kernel, qnn
 from .numerics import DomainError, RandomSource, normal_pdf, normal_cdf
 
 
-def _fmt(x):
-    return repr(float(x))
+def fmt(v):
+    """A CSV cell: ints and strings as they are, any other number as the
+    shortest text that reads back as the same float."""
+    return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
 
 
-def _write_columns(path, header, columns):
-    rows = zip(*columns)
+def write_csv(path, header, rows):
+    """A headed CSV file, one line per row of cells."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +185,26 @@ def run_normal_normal_demo(prior: analytic.NormalNormalModel = None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         plot_grid = np.linspace(-8.0, 12.0, 801)
-        _write_columns(
+        write_csv(
             os.path.join(out_dir, "figure1_model.csv"),
             ["theta", "prior_density", "data_density", "posterior_density"],
-            [plot_grid,
-             normal_pdf(plot_grid, prior.prior_mean, np.sqrt(prior.prior_variance)),
-             normal_pdf(plot_grid, true_theta, sigma),
-             normal_pdf(plot_grid, summary.mu_star, sd_star)],
+            zip(plot_grid,
+                normal_pdf(plot_grid, prior.prior_mean, np.sqrt(prior.prior_variance)),
+                normal_pdf(plot_grid, true_theta, sigma),
+                normal_pdf(plot_grid, summary.mu_star, sd_star)),
         )
         p_grid = np.linspace(0.0005, 0.9995, 999)
-        _write_columns(
+        write_csv(
             os.path.join(out_dir, "figure1_distortion.csv"),
             ["p", "g_p"],
-            [p_grid, analytic.wang_distortion(distortion, p_grid)],
+            zip(p_grid, analytic.wang_distortion(distortion, p_grid)),
         )
-        _write_columns(
+        write_csv(
             os.path.join(out_dir, "figure1_survival.csv"),
             ["theta", "prior_survival", "posterior_survival"],
-            [plot_grid,
-             1.0 - normal_cdf(plot_grid, prior.prior_mean, np.sqrt(prior.prior_variance)),
-             1.0 - normal_cdf(plot_grid, summary.mu_star, sd_star)],
+            zip(plot_grid,
+                1.0 - normal_cdf(plot_grid, prior.prior_mean, np.sqrt(prior.prior_variance)),
+                1.0 - normal_cdf(plot_grid, summary.mu_star, sd_star)),
         )
         with open(os.path.join(out_dir, "report.txt"), "w") as fh:
             for key, value in report.items():
@@ -307,7 +309,8 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
                 epochs=config.epochs, seed=sub,
             )
             qnn.train(net, train_ds, grid, tc)
-        except qnn.TrainingError:
+        # cli.main turns an overflow into FloatingPointError
+        except (qnn.TrainingError, FloatingPointError):
             failures += 1
             continue
 
@@ -328,13 +331,9 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
         for x, width in zip(config.probe_points, probe_hi - probe_lo):
             probes[x].append(width)
 
-        # NW mean +- fixed split-conformal width on absolute residuals
-        kc = kernel.KernelConfig(config.nw_bandwidth)
-        cal_pred = kernel.nw_predict(train_ds, X_cal, kc)
-        half = conformal.calibrate(
-            conformal.scores(y_cal, cal_pred, cal_pred), alpha).qhat
-        te_pred = kernel.nw_predict(train_ds, X_te, kc)
-        c, w = conformal.coverage(te_pred - half, te_pred + half, y_te)
+        c, w = conformal.coverage(*kernel.nw_intervals(
+            train_ds, X_cal, y_cal, X_te, kernel.KernelConfig(config.nw_bandwidth),
+            alpha), y_te)
         cov["nw"].append(c)
         wid["nw"].append(w)
 
@@ -363,28 +362,22 @@ def write_efron_report(out_dir, est_config: EfronConfig, n_grid=(5, 11, 31, 101,
     est = efron_estimation_ratio(est_config)
     sweep = efron_prediction_sweep(n_grid, m_replications, est_config.seed,
                                    oracle_replications)
-    with open(os.path.join(out_dir, "efron_estimation.csv"), "w") as fh:
-        fh.write("n,m_replications,ratio,se,asymptotic\n")
-        fh.write(f"{est_config.n},{est_config.m_replications},"
-                 f"{_fmt(est.ratio)},{_fmt(est.se)},{_fmt(np.pi / 2)}\n")
-    with open(os.path.join(out_dir, "efron_prediction_sweep.csv"), "w") as fh:
-        fh.write("n,ratio,se,closed_form,closed_form_se\n")
-        for n, res in sweep:
-            fh.write(f"{n},{_fmt(res.ratio)},{_fmt(res.se)},"
-                     f"{_fmt(res.closed_form)},{_fmt(res.closed_form_se)}\n")
+    write_csv(os.path.join(out_dir, "efron_estimation.csv"),
+              ["n", "m_replications", "ratio", "se", "asymptotic"],
+              [(est_config.n, est_config.m_replications, est.ratio, est.se, np.pi / 2)])
+    write_csv(os.path.join(out_dir, "efron_prediction_sweep.csv"),
+              ["n", "ratio", "se", "closed_form", "closed_form_se"],
+              [(n, r.ratio, r.se, r.closed_form, r.closed_form_se) for n, r in sweep])
     return est, sweep
 
 
 def write_coverage_report(out_dir, config: CoverageBenchConfig):
     os.makedirs(out_dir, exist_ok=True)
     result = run_coverage_bench(config)
-    with open(os.path.join(out_dir, "coverage_bench.csv"), "w") as fh:
-        fh.write("method,coverage,coverage_se,mean_width,width_se\n")
-        for row in result.rows:
-            fh.write(f"{row.method},{_fmt(row.coverage)},{_fmt(row.coverage_se)},"
-                     f"{_fmt(row.mean_width)},{_fmt(row.width_se)}\n")
-    with open(os.path.join(out_dir, "coverage_probe_widths.csv"), "w") as fh:
-        fh.write("x,mean_cqr_width\n")
-        for x, w in sorted(result.probe_widths.items()):
-            fh.write(f"{_fmt(x)},{_fmt(w)}\n")
+    write_csv(os.path.join(out_dir, "coverage_bench.csv"),
+              ["method", "coverage", "coverage_se", "mean_width", "width_se"],
+              [(r.method, r.coverage, r.coverage_se, r.mean_width, r.width_se)
+               for r in result.rows])
+    write_csv(os.path.join(out_dir, "coverage_probe_widths.csv"),
+              ["x", "mean_cqr_width"], sorted(result.probe_widths.items()))
     return result

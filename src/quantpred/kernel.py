@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conformal
 from .numerics import DomainError
 
 # smallest positive normal double; below this every weight has underflowed
@@ -20,7 +21,7 @@ class KernelConfig:
     bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:  # NaN fails too
             raise DomainError("bandwidth must be positive")
 
 
@@ -70,3 +71,13 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
 def nw_estimate(train, x, config: KernelConfig) -> float:
     """nw_predict at the single query point x."""
     return float(nw_predict(train, np.reshape(x, (1, -1)), config)[0])
+
+
+def nw_intervals(train, X_cal, y_cal, Xq, config: KernelConfig, alpha):
+    """Split-conformal intervals (lo, hi) at the rows of Xq: the NW fit on
+    train, widened on both sides by the conformal quantile of its absolute
+    residuals on the calibration rows (X_cal, y_cal)."""
+    cal_pred = nw_predict(train, X_cal, config)
+    half = conformal.calibrate(conformal.scores(y_cal, cal_pred, cal_pred), alpha).qhat
+    pred = nw_predict(train, Xq, config)
+    return pred - half, pred + half

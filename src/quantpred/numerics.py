@@ -18,7 +18,7 @@ class DomainError(ValueError):
 
 def _check_prob(p, name="p"):
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
         raise DomainError(f"{name} must lie in [0, 1]")
     return p
 
@@ -100,17 +100,14 @@ def empirical_quantile(dist: EmpiricalDistribution, tau) -> float:
     return float(dist.values[k])
 
 
-def conformal_quantile(scores, alpha, n=None) -> float:
-    """The ceil((1-alpha)(n+1))-th smallest score; clamps to the maximum
-    when (1-alpha)(1+1/n) exceeds 1."""
+def conformal_quantile(scores, alpha) -> float:
+    """The ceil((1-alpha)(n+1))-th smallest of the n scores; clamps to the
+    maximum when (1-alpha)(1+1/n) exceeds 1."""
     s = np.sort(np.asarray(scores, dtype=float))
-    if s.size == 0:
+    n = s.size
+    if n == 0:
         raise DomainError("scores must be non-empty")
     alpha = float(_check_prob(alpha, "alpha"))
-    if n is None:
-        n = s.size
-    if n != s.size:
-        raise DomainError(f"n={n} does not match {s.size} scores")
     # small guard against an upward ulp pushing ceil past the true integer
     k = math.ceil((1.0 - alpha) * (n + 1) - 1e-9)
     if k > n:

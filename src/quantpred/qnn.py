@@ -174,6 +174,8 @@ class QuantileNetwork:
                  seed=0):
         if len(layer_dims) < 2:
             raise DomainError("need at least input and output dims")
+        if min(layer_dims) < 1:
+            raise DomainError(f"layer sizes must be positive, got {list(layer_dims)}")
         if activation not in _ACT:
             raise DomainError(f"unknown activation {activation!r}")
         if head not in ("multi", "implicit"):

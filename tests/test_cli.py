@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import quantpred
-from quantpred import cli, conformal, qnn
+from quantpred import cli, conformal, kernel, qnn
 from quantpred.cli import (
     CLIError,
     ingest_csv,
@@ -185,6 +185,29 @@ class TestConfig:
         assert echoed["train"] == load_config(conf)["train"]
 
 
+    def test_flag_over_config_over_default(self, pipeline, tmp_path):
+        conf = write(tmp_path / "c.ini", "[eval]\nalpha = 0.5\nbandwidth = 0.4\n")
+        out = tmp_path / "e"
+        assert main(["eval", "--method", "kernel",
+                     "--train-data", pipeline["train_csv"],
+                     "--data", pipeline["test_csv"], "--target", "y",
+                     "--config", conf, "--alpha", "0.2", "--out", str(out)]) == 0
+        with open(out / "eval_meta.json") as fh:
+            assert json.load(fh) == {
+                "eval": {"alpha": "0.2", "bandwidth": "0.4", "method": "kernel"}}
+
+    def test_empty_flag_keeps_config_and_zero_flag_overrides(self, tmp_path):
+        data = make_data_csv(tmp_path / "d.csv", 20)
+        conf = write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n"
+                                         "taus = 0.1,0.9\nseed = 5\n")
+        out = tmp_path / "out"
+        assert main(["train", "--data", data, "--target", "y", "--config", conf,
+                     "--taus", "", "--seed", "0", "--out", str(out)]) == 0
+        with open(out / "train_meta.json") as fh:
+            echoed = json.load(fh)["train"]
+        assert (echoed["taus"], echoed["seed"]) == ("0.1,0.9", "0")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """A trained model plus calibration artifacts shared across tests."""
@@ -289,6 +312,39 @@ class TestPipeline:
         body = (out / "eval.csv").read_text().splitlines()
         assert body[1].startswith("kernel,")
 
+    def test_eval_kernel_calibrates_on_held_out_rows(self, pipeline, tmp_path):
+        # even training rows fit NW, odd rows calibrate its half-width
+        out = tmp_path / "eval"
+        assert main(["eval", "--method", "kernel",
+                     "--train-data", pipeline["train_csv"],
+                     "--data", pipeline["test_csv"], "--target", "y",
+                     "--out", str(out)]) == 0
+        train = ingest_csv(pipeline["train_csv"], "y")
+        test = ingest_csv(pipeline["test_csv"], "y")
+        kc = kernel.KernelConfig(0.3)
+        fit = qnn.Dataset(train.features[0::2], train.targets[0::2])
+        resid = np.abs(train.targets[1::2]
+                       - kernel.nw_predict(fit, train.features[1::2], kc))
+        half = np.sort(resid)[int(np.ceil(0.9 * (resid.size + 1))) - 1]
+        pred = kernel.nw_predict(fit, test.features, kc)
+        lo, hi = pred - half, pred + half
+        coverage = np.mean((lo <= test.targets) & (test.targets <= hi))
+        _, row = (out / "eval.csv").read_text().splitlines()
+        method, alpha, got_coverage, width = row.split(",")
+        assert (method, alpha) == ("kernel", "0.1")
+        assert float(got_coverage) == coverage
+        assert float(width) == pytest.approx(2 * half, rel=1e-12)
+
+    def test_eval_kernel_needs_two_training_rows(self, pipeline, tmp_path, capsys):
+        one = write(tmp_path / "one.csv", "x,y\n0.5,1.0\n")
+        rc = main(["eval", "--method", "kernel", "--train-data", one,
+                   "--data", pipeline["test_csv"], "--target", "y",
+                   "--out", str(tmp_path / "e")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert one in lines[0] and "at least 2 rows" in lines[0]
+
     def test_eval_qnn_requires_model(self, pipeline, tmp_path, capsys):
         rc = main(["eval", "--data", pipeline["test_csv"], "--target", "y",
                    "--out", str(tmp_path / "e")])
@@ -347,6 +403,49 @@ class TestErrorSurface:
                    "--config", conf, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "unknown key 'width'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text, match", [
+        ("[train]\nhidden = 4,abc\n", "malformed hidden-layer list"),
+        ("[train]\nhidden = -1\n", "layer sizes must be positive"),
+        ("[train]\nlearning_rate = 1e308\n", "too large for float arithmetic"),
+    ], ids=["hidden-text", "hidden-negative", "learning-rate-overflow"])
+    def test_bad_train_setting(self, tmp_path, capsys, text, match):
+        data = make_data_csv(tmp_path / "d.csv", 30)
+        conf = write(tmp_path / "c.ini", text + "epochs = 2\n")
+        rc = main(["train", "--data", data, "--target", "y",
+                   "--config", conf, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+
+    @pytest.mark.parametrize("command", ["train", "eval-kernel"])
+    def test_overflowing_values(self, tmp_path, capsys, command):
+        # finite cells whose squares overflow
+        data = write(tmp_path / "d.csv", "x,y\n1e308,1e308\n-1e308,2\n")
+        argv = (["train", "--data", data] if command == "train" else
+                ["eval", "--method", "kernel", "--train-data", data, "--data", data])
+        assert main(argv + ["--target", "y", "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: overflow")
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["calibrate", "eval-qnn", "eval-kernel"])
+    def test_non_finite_alpha(self, pipeline, tmp_path, capsys, command, alpha):
+        argv = {
+            "calibrate": ["calibrate", "--model", pipeline["model"],
+                          "--data", pipeline["cal_csv"]],
+            "eval-qnn": ["eval", "--method", "qnn", "--model", pipeline["model"],
+                         "--data", pipeline["test_csv"]],
+            "eval-kernel": ["eval", "--method", "kernel",
+                            "--train-data", pipeline["train_csv"],
+                            "--data", pipeline["test_csv"]],
+        }[command]
+        rc = main(argv + ["--target", "y", "--alpha", alpha,
+                          "--out", str(tmp_path / "o")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "alpha" in lines[0]
 
 
 class TestArtifactErrors:

@@ -168,6 +168,18 @@ class TestRecord:
         assert back.n == cal.n
         assert back.qhat == cal.qhat
 
+    def test_fields(self):
+        cal = calibrate(scores([5.0, 9.0], [3.0, 3.0], [7.0, 7.0]), 0.2)
+        assert cal.to_record() == (
+            f"conformal-calibration v1\nalpha=0.2\nn=2\nqhat={cal.qhat!r}\n")
+
+    def test_record_with_score_digest_loads(self):
+        # records of earlier versions carry a score_sha256 line
+        back = ConformalCalibration.from_record(
+            "conformal-calibration v1\nalpha=0.1\nn=3\nqhat=0.5\n"
+            "score_sha256=" + "0" * 64 + "\n")
+        assert (back.alpha, back.n, back.qhat) == (0.1, 3, 0.5)
+
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             ConformalCalibration.from_record("not a record")

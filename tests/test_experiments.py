@@ -131,6 +131,14 @@ class TestNormalNormalDemo:
         assert all(repr(float(c)) == c for c in cells)
 
 
+class TestWriteCsv:
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "t.csv"
+        experiments.write_csv(path, ["s", "i", "f"],
+                              [("a", 3, np.float64(0.1)), ("b", -1, 1e300 / 3)])
+        assert path.read_text() == f"s,i,f\na,3,0.1\nb,-1,{1e300 / 3!r}\n"
+
+
 class TestCoverageBenchConfig:
     def test_unknown_dgp_rejected(self):
         with pytest.raises(DomainError):

@@ -16,8 +16,9 @@ def make_train(seed=0, n=30, d=2):
 
 class TestGaussianKernel:
     def test_bad_bandwidth(self):
-        with pytest.raises(DomainError):
-            KernelConfig(0.0)
+        for bandwidth in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                KernelConfig(bandwidth)
 
 
 class TestNWEstimate:

@@ -117,33 +117,34 @@ class TestEmpiricalQuantile:
 
 class TestConformalQuantile:
     def test_hundred_scores(self):
-        assert conformal_quantile(np.arange(1, 101), 0.1, 100) == 91
+        assert conformal_quantile(np.arange(1, 101), 0.1) == 91
 
     def test_single_score(self):
-        assert conformal_quantile([7.0], 0.5, 1) == 7.0
+        assert conformal_quantile([7.0], 0.5) == 7.0
 
     def test_full_coverage_clamps_to_max(self):
-        assert conformal_quantile([1, 2, 3], 0.0, 3) == 3
+        assert conformal_quantile([1, 2, 3], 0.0) == 3
 
     def test_small_alpha_clamps(self):
         # (1-alpha)(1+1/n) > 1 -> max score
-        assert conformal_quantile([5, 1, 9], 0.01, 3) == 9
+        assert conformal_quantile([5, 1, 9], 0.01) == 9
 
     def test_order_statistic(self):
         scores = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         # ceil(0.8 * 10) = 8 -> 8th smallest
-        assert conformal_quantile(scores, 0.2, 9) == sorted(scores)[7]
+        assert conformal_quantile(scores, 0.2) == sorted(scores)[7]
 
     def test_ties_kept(self):
-        assert conformal_quantile([1.0, 1.0, 1.0, 2.0], 0.5, 4) == 1.0
+        assert conformal_quantile([1.0, 1.0, 1.0, 2.0], 0.5) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             conformal_quantile([], 0.1)
 
-    def test_n_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            conformal_quantile([1.0, 2.0], 0.1, 5)
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            conformal_quantile([1.0, 2.0], alpha)
 
 
 class TestPitRanks:
