@@ -1,7 +1,6 @@
 """Closed-form normal-normal learning: conjugate posterior constants, the
-distortion function linking prior and posterior survival curves, the
-posterior predictive quantile map, and an OLS learner for the summary
-statistic."""
+distortion function linking prior and posterior survival curves, and an
+OLS learner for the summary statistic."""
 
 from __future__ import annotations
 
@@ -84,13 +83,9 @@ def wang_distortion(dist: WangDistortion, p):
 
 
 def distort_prior_survival(model: NormalNormalModel, summary: PosteriorSummary,
-                           theta, check: bool = False):
-    """g(1 - Phi(theta; mu, alpha)) for the prior survival function.
-
-    With check=True also evaluates the posterior survival
-    1 - Phi(theta; mu*, sigma*) directly and asserts both routes agree to
-    1e-10 pointwise.
-    """
+                           theta):
+    """g(1 - Phi(theta; mu, alpha)) for the prior survival function, which
+    equals the posterior survival 1 - Phi(theta; mu*, sigma*)."""
     dist = wang_distortion_params(model, summary)
     # g(1 - Phi(theta; mu, alpha)) with Phi^{-1}(Phi(z)) = z taken
     # analytically: the survival probability saturates in double precision
@@ -98,36 +93,7 @@ def distort_prior_survival(model: NormalNormalModel, summary: PosteriorSummary,
     # through the prior z-score instead of the probability itself
     z_prior = (model.prior_mean - np.asarray(theta, dtype=float)) / np.sqrt(
         model.prior_variance)
-    out = normal_cdf(dist.lambda1 * z_prior + dist.shift)
-    if check:
-        posterior_survival = 1.0 - normal_cdf(theta, summary.mu_star,
-                                              np.sqrt(summary.sigma2_star))
-        err = np.max(np.abs(np.asarray(out) - np.asarray(posterior_survival)))
-        if err > 1e-10:
-            raise AssertionError(
-                f"distortion identity violated: max error {err:.3e}"
-            )
-    return out
-
-
-def predictive_cdf(y_star, y_bar, sigma, n):
-    """Posterior predictive CDF Phi((y* - ybar) / (sigma * sqrt(1 + 1/n)))."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    scale = sigma * np.sqrt(1.0 + 1.0 / n)
-    return normal_cdf(y_star, y_bar, scale)
-
-
-def predictive_quantile(tau, y_bar, sigma, n):
-    """Inverse of predictive_cdf: ybar + sigma*sqrt(1 + 1/n)*Phi^{-1}(tau)."""
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    scale = sigma * np.sqrt(1.0 + 1.0 / n)
-    return normal_quantile(tau, y_bar, scale)
+    return normal_cdf(dist.lambda1 * z_prior + dist.shift)
 
 
 def learn_sufficient_statistic(thetas, samples):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .numerics import DomainError
+from .numerics import DomainError, check_alpha
 
 # smallest positive normal double; below this every weight has underflowed
 _TINY = np.finfo(float).tiny
@@ -77,6 +77,7 @@ def nw_intervals(train, X_cal, y_cal, Xq, config: KernelConfig, alpha):
     """Split-conformal intervals (lo, hi) at the rows of Xq: the NW fit on
     train, widened on both sides by the conformal quantile of its absolute
     residuals on the calibration rows (X_cal, y_cal)."""
+    check_alpha(alpha)
     cal_pred = nw_predict(train, X_cal, config)
     half = conformal.calibrate(conformal.scores(y_cal, cal_pred, cal_pred), alpha).qhat
     pred = nw_predict(train, Xq, config)

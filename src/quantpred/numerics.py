@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -14,6 +14,12 @@ from scipy.special import erfc, ndtri
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_alpha(alpha):
+    """Reject a miscoverage level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise DomainError("alpha must lie strictly inside (0, 1)")
 
 
 def _check_prob(p, name="p"):
@@ -160,7 +166,6 @@ class RandomSource:
     """
 
     seed: int
-    algorithm: str = field(default="pcg64", init=False)
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2 ** 64):

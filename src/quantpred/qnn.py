@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DomainError, RandomSource
+from .numerics import DomainError, RandomSource, check_alpha
 
 FORMAT_TAG = "qnet-v1"
 
@@ -46,8 +46,8 @@ class QuantileGrid:
     def __len__(self):
         return self.levels.size
 
-    def index_of(self, tau, tol=1e-9):
-        hits = np.nonzero(np.abs(self.levels - tau) <= tol)[0]
+    def index_of(self, tau):
+        hits = np.nonzero(np.abs(self.levels - tau) <= 1e-9)[0]
         if hits.size == 0:
             raise DomainError(
                 f"level {tau} not on the grid; available: {self.levels.tolist()}"
@@ -469,8 +469,7 @@ def predict_intervals(net: QuantileNetwork, X, alpha):
     """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
     one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
     each pair is ordered."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie strictly inside (0, 1)")
+    check_alpha(alpha)
     q = net.quantiles_at(X, [alpha / 2, 1 - alpha / 2])
     return np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
 
@@ -491,9 +490,14 @@ def _encode(a):
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode()}
 
 
-def _decode(obj):
+def _decode(obj, field, shape):
+    """The array obj encodes, which must have the given shape."""
     a = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
-    return a.reshape(obj["shape"]).copy()
+    a = a.reshape(obj["shape"]).copy()
+    if a.shape != tuple(shape):
+        raise DomainError(f"field {field} has shape {list(a.shape)}, "
+                          f"expected {list(shape)}")
+    return a
 
 
 def save(net: QuantileNetwork, path):
@@ -521,7 +525,9 @@ def save(net: QuantileNetwork, path):
 
 def load(path) -> QuantileNetwork:
     """Read a model written by save; a missing, unreadable or malformed
-    file raises DomainError naming the path."""
+    file, or an array whose shape differs from the one the model's
+    layer_dims, head and embedding_dim give, raises DomainError naming
+    the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -539,14 +545,24 @@ def load(path) -> QuantileNetwork:
             head=doc["head"], embedding_dim=doc["embedding_dim"],
             monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
         )
-        net.weights = [_decode(o) for o in doc["weights"]]
-        net.biases = [_decode(o) for o in doc["biases"]]
-        if doc["embed"] is not None:
-            net.embed_w = _decode(doc["embed"]["w"])
-            net.embed_b = _decode(doc["embed"]["b"])
-        if doc["standardization"] is not None:
-            net.x_mean = _decode(doc["standardization"]["mean"])
-            net.x_std = _decode(doc["standardization"]["std"])
+        # each array must have the shape of the parameter the constructor built
+        shapes = iter(p.shape for p in net.parameters())
+        layers = len(net.weights)
+        for kind in ("weights", "biases"):
+            if len(doc[kind]) != layers:
+                raise DomainError(f"field {kind} has {len(doc[kind])} arrays, "
+                                  f"expected {layers}")
+        for i, (W, b) in enumerate(zip(doc["weights"], doc["biases"])):
+            net.weights[i] = _decode(W, f"weights[{i}]", next(shapes))
+            net.biases[i] = _decode(b, f"biases[{i}]", next(shapes))
+        if net.head == "implicit":
+            net.embed_w = _decode(doc["embed"]["w"], "embed.w", next(shapes))
+            net.embed_b = _decode(doc["embed"]["b"], "embed.b", next(shapes))
+        stats = doc["standardization"]
+        if stats is not None:
+            d = (net.layer_dims[0],)
+            net.x_mean = _decode(stats["mean"], "standardization.mean", d)
+            net.x_std = _decode(stats["std"], "standardization.std", d)
     except KeyError as exc:
         raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

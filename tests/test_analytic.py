@@ -9,15 +9,12 @@ from quantpred.analytic import (
     distort_prior_survival,
     learn_sufficient_statistic,
     posterior,
-    predictive_cdf,
-    predictive_quantile,
     wang_distortion,
     wang_distortion_params,
 )
 from quantpred.numerics import DomainError, RandomSource, normal_cdf, normal_quantile
 
 PHI_1 = 0.84134474606854294859  # frozen mpmath value of Phi(1)
-Z_975 = 1.9599639845400542355
 
 
 class TestPosterior:
@@ -107,7 +104,7 @@ class TestDistortionIdentity:
     def test_posterior_median_survival_half(self):
         model = NormalNormalModel(0.0, 5.0, 10.0)
         s = posterior(model, np.linspace(2, 4, 100))
-        assert distort_prior_survival(model, s, s.mu_star, check=True) == \
+        assert distort_prior_survival(model, s, s.mu_star) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_printed_configuration(self):
@@ -115,7 +112,7 @@ class TestDistortionIdentity:
         s = PosteriorSummary(mu_star=5.0 * 335.0 / 510.0,
                              sigma2_star=50.0 / 510.0,
                              t=510.0, s=335.0, n=100)
-        lhs = distort_prior_survival(model, s, 3.0, check=True)
+        lhs = distort_prior_survival(model, s, 3.0)
         rhs = 1.0 - normal_cdf(3.0, s.mu_star, np.sqrt(s.sigma2_star))
         assert abs(lhs - rhs) < 1e-10
 
@@ -139,44 +136,6 @@ class TestDistortionIdentity:
         d = wang_distortion_params(model, s)
         assert d.lambda1 == pytest.approx(np.sqrt(5.0) / np.sqrt(s.sigma2_star))
         assert d.shift == pytest.approx(np.sqrt(5.0) * d.lambda1 * s.s / s.t)
-
-
-class TestPredictive:
-    def test_median_at_sample_mean(self):
-        assert predictive_cdf(2.5, 2.5, 1.0, 7) == 0.5
-
-    def test_n_one_scaling(self):
-        assert predictive_cdf(np.sqrt(2.0), 0.0, 1.0, 1) == \
-            pytest.approx(PHI_1, abs=1e-12)
-
-    def test_monte_carlo_integral(self):
-        # the predictive CDF is the posterior-mixture of likelihood CDFs
-        y_bar, sigma, n = 1.3, 0.8, 12
-        rng = RandomSource(17).stream("mc")
-        thetas = rng.normal(y_bar, sigma / np.sqrt(n), 100_000)
-        for y_star in (0.5, 1.3, 2.5):
-            draws = normal_cdf((y_star - thetas) / sigma)
-            mc = draws.mean()
-            se = draws.std(ddof=1) / np.sqrt(draws.size)
-            assert abs(mc - predictive_cdf(y_star, y_bar, sigma, n)) < 3 * se
-
-    def test_quantile_median(self):
-        assert predictive_quantile(0.5, 4.2, 1.0, 3) == 4.2
-
-    def test_quantile_large_n(self):
-        got = predictive_quantile(0.975, 0.0, 1.0, 10**8)
-        assert abs(got - Z_975) < 1e-4
-
-    def test_round_trip(self):
-        taus = np.linspace(0.01, 0.99, 99)
-        for tau in taus:
-            y = predictive_quantile(tau, 0.7, 1.4, 9)
-            assert abs(predictive_cdf(y, 0.7, 1.4, 9) - tau) < 1e-10
-
-    def test_variance_decreases_in_n(self):
-        widths = [predictive_quantile(0.9, 0, 1, n) for n in (1, 2, 10, 100)]
-        assert all(a > b for a, b in zip(widths, widths[1:]))
-        assert widths[-1] > normal_quantile(0.9)  # exceeds sigma for finite n
 
 
 class TestLearnSufficientStatistic:

@@ -447,6 +447,18 @@ class TestErrorSurface:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "alpha" in lines[0]
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    def test_kernel_alpha_checked_before_nw(self, pipeline, tmp_path, capsys,
+                                            monkeypatch, alpha):
+        calls = []
+        monkeypatch.setattr(kernel, "nw_predict", lambda *a: calls.append(a))
+        rc = main(["eval", "--method", "kernel", "--train-data", pipeline["train_csv"],
+                   "--data", pipeline["test_csv"], "--target", "y",
+                   "--alpha", alpha, "--out", str(tmp_path / "o")])
+        assert rc == 1 and calls == []
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: alpha must lie strictly inside (0, 1)"]
+
 
 class TestArtifactErrors:
     """A bad model or calibration record ends with an error: line and exit 1."""
@@ -499,6 +511,27 @@ class TestArtifactErrors:
         assert self._run(pipeline, tmp_path, "predict", model=bad) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad in err and "'grid'" in err
+
+    @pytest.mark.parametrize("field, shape, expected", [
+        ("weights[0]", [8, 1], [1, 8]),     # transposed
+        ("biases[1]", [1], [3]),            # would broadcast over the 3 outputs
+        ("standardization.mean", [], [1]),  # would broadcast over the features
+    ], ids=["weights-transposed", "output-bias", "feature-mean"])
+    def test_model_array_shape_mismatch(self, pipeline, tmp_path, capsys,
+                                        field, shape, expected):
+        def reshape(text):
+            doc = json.loads(text)
+            {"weights[0]": doc["weights"][0], "biases[1]": doc["biases"][1],
+             "standardization.mean": doc["standardization"]["mean"],
+             }[field].update(qnn._encode(np.ones(shape)))
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", reshape)
+        assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert bad in lines[0] and field in lines[0]
+        assert f"{shape}" in lines[0] and f"{expected}" in lines[0]
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("record_alpha", ["0.1", "0.5"])

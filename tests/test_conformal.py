@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantpred.conformal import (
     ConformalCalibration,
@@ -157,6 +159,43 @@ class TestExchangeabilityGuarantee:
         covs = np.asarray(covs)
         se = covs.std(ddof=1) / np.sqrt(reps)
         assert covs.mean() >= (1 - alpha) - 3 * se
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 500),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2 ** 32))
+    def test_exact_coverage_bound(self, n, alpha, seed):
+        # a fresh exchangeable score is equally likely to take each of the
+        # n + 1 ranks, so with distinct scores its coverage is exactly
+        # #(scores <= qhat) / (n + 1)
+        s = RandomSource(seed).stream("exact-coverage").standard_normal(n)
+        assert np.unique(s).size == n
+        qhat = calibrate(s, alpha).qhat
+        hits = np.count_nonzero(s <= qhat)
+        target = (1 - alpha) * (n + 1)
+        if target <= n:
+            # coverage in [1-alpha, 1-alpha+1/(n+1)), times n+1; the only
+            # slack is the 1e-9 guard numerics.conformal_quantile subtracts
+            # before taking the ceiling
+            assert target - 1e-9 <= hits < target + 1
+        else:
+            assert qhat == s.max()
+
+    def test_monte_carlo_coverage_at_n_19(self):
+        # n_cal = 19, alpha = 0.1: a fresh point is covered with probability
+        # exactly 18/20; one test point per replication makes the coverage
+        # indicators Bernoulli(0.9) draws
+        alpha, n_cal, reps = 0.1, 19, 5000
+        rng = RandomSource(19).stream("mc-coverage")
+        y = rng.standard_normal((reps, n_cal + 1))
+        hits = 0.0
+        for row in y:
+            cal = calibrate(scores(row[:-1], np.full(n_cal, -0.5),
+                                   np.full(n_cal, 0.5)), alpha)
+            lo, hi = conformalize([-0.5], [0.5], cal.qhat)
+            hits += coverage(lo, hi, row[-1:])[0]
+        p = 18 / 20
+        assert abs(hits / reps - p) <= 4 * np.sqrt(p * (1 - p) / reps)
 
 
 class TestRecord:
