@@ -70,8 +70,7 @@ def ingest_csv(path, target_column) -> qnn.Dataset:
         raise CLIError(f"{path}: no column named {target_column!r}; "
                        f"available: {list(header)}")
     keep = [i for i, h in enumerate(header) if h != target_column]
-    return qnn.Dataset(data[:, keep], data[:, header.index(target_column)],
-                       tuple(header[i] for i in keep))
+    return qnn.Dataset(data[:, keep], data[:, header.index(target_column)])
 
 
 # ---------------------------------------------------------------------------

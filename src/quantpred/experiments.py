@@ -5,6 +5,7 @@ on synthetic data."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -272,74 +273,98 @@ class BenchResult:
     failures: int = 0
 
 
+METHODS = ("qnn", "cqr", "nw")
+
+
+def _replication(config: CoverageBenchConfig, rep):
+    """One replication of the coverage bench, drawn from its own stream
+    coverage-rep-{rep}: (coverage, width) of each of METHODS, then the
+    calibrated width at each of PROBE_POINTS, as one tuple of floats; None
+    when training fails."""
+    alpha = config.alpha
+    grid = qnn.QuantileGrid([alpha / 2, 0.5, 1 - alpha / 2])
+    rng = RandomSource(config.seed).stream(f"coverage-rep-{rep}")
+    sub = int(rng.integers(0, 2 ** 63))
+    X_tr, y_tr = _draw(config.dgp, config.n_train, rng)
+    X_cal, y_cal = _draw(config.dgp, config.n_cal, rng)
+    X_te, y_te = _draw(config.dgp, config.n_test, rng)
+    train_ds = qnn.Dataset(X_tr, y_tr)
+
+    try:
+        net = qnn.QuantileNetwork([1, 32, len(grid)], grid=grid, seed=sub)
+        tc = qnn.TrainingConfig(learning_rate=0.02, batch_size=128,
+                                epochs=config.epochs, seed=sub)
+        qnn.train(net, train_ds, grid, tc)
+    # cli.main turns an overflow into FloatingPointError
+    except (qnn.TrainingError, FloatingPointError):
+        return None
+
+    lo, hi = qnn.predict_intervals(net, X_te, alpha)  # uncalibrated
+    cal = conformal.calibrate(
+        conformal.scores(y_cal, *qnn.predict_intervals(net, X_cal, alpha)), alpha)
+    probe_lo, probe_hi = conformal.conformalize(
+        *qnn.predict_intervals(net, np.asarray(PROBE_POINTS)[:, None], alpha), cal.qhat)
+    nw = kernel.nw_intervals(train_ds, X_cal, y_cal, X_te, kernel.KernelConfig(0.3), alpha)
+    return (*conformal.coverage(lo, hi, y_te),
+            *conformal.coverage(*conformal.conformalize(lo, hi, cal.qhat), y_te),
+            *conformal.coverage(*nw, y_te),
+            *(probe_hi - probe_lo).tolist())
+
+
+def _replication_under(err, config, rep):
+    """_replication with floating-point errors handled as err (np.geterr())."""
+    with np.errstate(**err):
+        return _replication(config, rep)
+
+
+def _map_replications(job, replications):
+    """[job(rep) for rep in range(replications)], in that order, with the
+    replications spread over one forked worker per available CPU, and no
+    more workers than replications."""
+    import multiprocessing
+
+    workers = 1
+    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
+        workers = min(len(os.sched_getaffinity(0)), replications)
+    if workers == 1:
+        return list(map(job, range(replications)))
+    import concurrent.futures
+
+    # fork, not spawn: a worker starts with numpy, scipy and quantpred already
+    # imported, instead of paying for their import again
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(job, range(replications)))
+
+
 def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
     """Coverage and width of uncalibrated QNN intervals, CQR-calibrated
     intervals, and a fixed-width Nadaraya-Watson baseline, averaged over
     seeded replications. Every replication trains the same network (one
     hidden layer of 32 units, Adam at learning rate 0.02 on batches of
-    128) and fits NW at bandwidth 0.3."""
-    alpha = config.alpha
-    grid = qnn.QuantileGrid([alpha / 2, 0.5, 1 - alpha / 2])
-    methods = ("qnn", "cqr", "nw")
-    cov = {m: [] for m in methods}
-    wid = {m: [] for m in methods}
-    probes = {x: [] for x in PROBE_POINTS}
-    probe_X = np.asarray(PROBE_POINTS, dtype=float)[:, None]
-    failures = 0
-
-    for rep in range(config.replications):
-        rng = RandomSource(config.seed).stream(f"coverage-rep-{rep}")
-        sub = int(rng.integers(0, 2 ** 63))
-        X_tr, y_tr = _draw(config.dgp, config.n_train, rng)
-        X_cal, y_cal = _draw(config.dgp, config.n_cal, rng)
-        X_te, y_te = _draw(config.dgp, config.n_test, rng)
-        train_ds = qnn.Dataset(X_tr, y_tr)
-
-        try:
-            net = qnn.QuantileNetwork([1, 32, len(grid)], grid=grid, seed=sub)
-            tc = qnn.TrainingConfig(learning_rate=0.02, batch_size=128,
-                                    epochs=config.epochs, seed=sub)
-            qnn.train(net, train_ds, grid, tc)
-        # cli.main turns an overflow into FloatingPointError
-        except (qnn.TrainingError, FloatingPointError):
-            failures += 1
-            continue
-
-        # uncalibrated
-        lo, hi = qnn.predict_intervals(net, X_te, alpha)
-        c, w = conformal.coverage(lo, hi, y_te)
-        cov["qnn"].append(c)
-        wid["qnn"].append(w)
-
-        # CQR
-        cal = conformal.calibrate(
-            conformal.scores(y_cal, *qnn.predict_intervals(net, X_cal, alpha)), alpha)
-        c, w = conformal.coverage(*conformal.conformalize(lo, hi, cal.qhat), y_te)
-        cov["cqr"].append(c)
-        wid["cqr"].append(w)
-        probe_lo, probe_hi = conformal.conformalize(
-            *qnn.predict_intervals(net, probe_X, alpha), cal.qhat)
-        for x, width in zip(PROBE_POINTS, probe_hi - probe_lo):
-            probes[x].append(width)
-
-        c, w = conformal.coverage(*kernel.nw_intervals(
-            train_ds, X_cal, y_cal, X_te, kernel.KernelConfig(0.3), alpha), y_te)
-        cov["nw"].append(c)
-        wid["nw"].append(w)
-
+    128) and fits NW at bandwidth 0.3. The replications run in forked
+    workers; the result does not depend on how many."""
+    # the caller's errstate (cli.main raises on overflow) goes to each job
+    # explicitly, so an overflowing replication counts as a failure
+    results = _map_replications(
+        functools.partial(_replication_under, np.geterr(), config), config.replications)
+    done = [r for r in results if r is not None]
+    if not done:
+        return BenchResult([], {}, len(results))
+    # one contiguous row per statistic, reduced as the serial loop's lists were
+    table = np.array(done).T.copy()
     rows = []
-    for m in methods:
-        cc, ww = np.asarray(cov[m]), np.asarray(wid[m])
-        if cc.size == 0:
-            continue
+    for k, m in enumerate(METHODS):
+        cc, ww = table[2 * k], table[2 * k + 1]
         rows.append(BenchRow(
             m, float(cc.mean()),
             float(cc.std(ddof=1) / np.sqrt(cc.size)) if cc.size > 1 else 0.0,
             float(ww.mean()),
             float(ww.std(ddof=1) / np.sqrt(ww.size)) if ww.size > 1 else 0.0,
         ))
-    probe_widths = {x: float(np.mean(v)) for x, v in probes.items() if v}
-    return BenchResult(rows, probe_widths, failures)
+    probe_widths = {x: float(np.mean(v))
+                    for x, v in zip(PROBE_POINTS, table[2 * len(METHODS):])}
+    return BenchResult(rows, probe_widths, len(results) - len(done))
 
 
 # ---------------------------------------------------------------------------

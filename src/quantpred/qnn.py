@@ -59,7 +59,6 @@ class QuantileGrid:
 class Dataset:
     features: np.ndarray  # n x d
     targets: np.ndarray   # n
-    feature_names: tuple | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -491,12 +490,15 @@ def _encode(a):
 
 
 def _decode(obj, field, shape):
-    """The array obj encodes, which must have the given shape."""
+    """The array obj encodes, which must have the given shape and only
+    finite values."""
     a = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
     a = a.reshape(obj["shape"]).copy()
     if a.shape != tuple(shape):
         raise DomainError(f"field {field} has shape {list(a.shape)}, "
                           f"expected {list(shape)}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"field {field} has a non-finite value")
     return a
 
 
@@ -525,9 +527,9 @@ def save(net: QuantileNetwork, path):
 
 def load(path) -> QuantileNetwork:
     """Read a model written by save; a missing, unreadable or malformed
-    file, or an array whose shape differs from the one the model's
-    layer_dims, head and embedding_dim give, raises DomainError naming
-    the path."""
+    file, an array whose shape differs from the one the model's
+    layer_dims, head and embedding_dim give, a non-finite array value or
+    a standardization std <= 0 raises DomainError naming the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -563,6 +565,8 @@ def load(path) -> QuantileNetwork:
             d = (net.layer_dims[0],)
             net.x_mean = _decode(stats["mean"], "standardization.mean", d)
             net.x_std = _decode(stats["std"], "standardization.std", d)
+            if np.any(net.x_std <= 0):
+                raise DomainError("field standardization.std has a value <= 0")
     except KeyError as exc:
         raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

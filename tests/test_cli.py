@@ -44,14 +44,13 @@ class TestIngestCsv:
     def test_basic(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,y\n1,2,3\n4,5,6\n")
         ds = ingest_csv(p, "y")
-        assert ds.feature_names == ("a", "b")
         assert ds.features.tolist() == [[1.0, 2.0], [4.0, 5.0]]
         assert ds.targets.tolist() == [3.0, 6.0]
 
     def test_target_in_middle(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,y,b\n1,2,3\n")
         ds = ingest_csv(p, "y")
-        assert ds.feature_names == ("a", "b")
+        assert ds.features.tolist() == [[1.0, 3.0]]
         assert ds.targets.tolist() == [2.0]
 
     def test_missing_file(self, tmp_path):
@@ -532,6 +531,27 @@ class TestArtifactErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert bad in lines[0] and field in lines[0]
         assert f"{shape}" in lines[0] and f"{expected}" in lines[0]
+
+    @pytest.mark.parametrize("field, value, complaint", [
+        ("standardization.std", 0.0, "has a value <= 0"),  # divides by zero
+        ("standardization.std", np.nan, "has a non-finite value"),
+        ("weights[0]", np.inf, "has a non-finite value"),
+    ], ids=["std-zero", "std-nan", "weight-inf"])
+    def test_model_array_values(self, pipeline, tmp_path, capsys, field, value,
+                                complaint):
+        def poison(text):
+            doc = json.loads(text)
+            encoded = {"weights[0]": doc["weights"][0],
+                       "standardization.std": doc["standardization"]["std"]}[field]
+            a = qnn._decode(encoded, field, encoded["shape"])
+            a.flat[0] = value  # the model has one feature: std is all `value`
+            encoded.update(qnn._encode(a))
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", poison)
+        assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {bad}: malformed model: field {field} {complaint}"]
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("record_alpha", ["0.1", "0.5"])

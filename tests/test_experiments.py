@@ -1,13 +1,16 @@
 """Tests for the experiment harnesses: efficiency ratios, the conjugate
 demo with its plot-data files, and the coverage benchmark."""
 
+import concurrent.futures
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from quantpred import analytic, experiments
+from quantpred import analytic, experiments, qnn
 from quantpred.experiments import (
+    BenchRow,
     CoverageBenchConfig,
     EfronConfig,
     efron_estimation_ratio,
@@ -19,7 +22,7 @@ from quantpred.experiments import (
     write_coverage_report,
     write_efron_report,
 )
-from quantpred.numerics import DomainError
+from quantpred.numerics import DomainError, RandomSource
 
 
 def read_bytes(path):
@@ -173,6 +176,110 @@ class TestCoverageBench:
             replications=1, epochs=5)
         res = run_coverage_bench(cfg)
         assert {row.method for row in res.rows} == {"qnn", "cqr", "nw"}
+
+
+POOL_BENCH = CoverageBenchConfig(
+    n_train=120, n_cal=80, n_test=80, replications=5, epochs=8,
+)
+
+
+def serial_reference(config):
+    """The coverage bench as one serial loop over _replication, each
+    statistic reduced from its own list: (rows, probe widths, failures)."""
+    results = [experiments._replication(config, rep)
+               for rep in range(config.replications)]
+    done = [r for r in results if r is not None]
+    rows = []
+    for k, method in enumerate(("qnn", "cqr", "nw")):
+        cc = np.asarray([r[2 * k] for r in done])
+        ww = np.asarray([r[2 * k + 1] for r in done])
+        rows.append(BenchRow(method, float(cc.mean()),
+                             float(cc.std(ddof=1) / np.sqrt(cc.size)),
+                             float(ww.mean()),
+                             float(ww.std(ddof=1) / np.sqrt(ww.size))))
+    probes = {x: float(np.mean([r[6 + j] for r in done]))
+              for j, x in enumerate(experiments.PROBE_POINTS)}
+    return rows, probes, len(results) - len(done)
+
+
+def bench_tuple(config):
+    res = run_coverage_bench(config)
+    return res.rows, res.probe_widths, res.failures
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two available CPUs, and the sizes of the process pools made. Their
+    workers start with every floating-point error ignored, as if the fork
+    had not carried the caller's errstate."""
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, initializer=np.seterr, initargs=("ignore",),
+                             **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
+
+
+def sub_seed(config, rep):
+    """The training seed replication rep draws first from its stream."""
+    return int(RandomSource(config.seed).stream(f"coverage-rep-{rep}")
+               .integers(0, 2 ** 63))
+
+
+class TestCoverageBenchPool:
+    def test_pool_equals_serial_loop(self, two_cpus):
+        assert bench_tuple(POOL_BENCH) == serial_reference(POOL_BENCH)
+        assert two_cpus == [2]
+
+    def test_failed_replication_counted(self, two_cpus, monkeypatch):
+        # forked workers inherit the patched train
+        failing, real_train = sub_seed(POOL_BENCH, 2), qnn.train
+
+        def train(net, data, grid, config):
+            if config.seed == failing:
+                raise qnn.TrainingError(1, 0, "injected")
+            return real_train(net, data, grid, config)
+
+        monkeypatch.setattr(qnn, "train", train)
+        got = bench_tuple(POOL_BENCH)
+        assert got[2] == 1
+        assert got == serial_reference(POOL_BENCH)
+        assert two_cpus == [2]
+
+    def test_overflow_follows_callers_errstate(self, two_cpus, monkeypatch):
+        real_train = qnn.train
+
+        def train(net, data, grid, config):
+            np.array([1e308]) * 10.0
+            return real_train(net, data, grid, config)
+
+        monkeypatch.setattr(qnn, "train", train)
+        cfg = CoverageBenchConfig(n_train=120, n_cal=80, n_test=80,
+                                  replications=2, epochs=8)
+        with np.errstate(over="raise"):
+            res = run_coverage_bench(cfg)
+        assert (res.rows, res.failures) == ([], 2)
+        with warnings.catch_warnings():  # the default errstate warns
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = run_coverage_bench(cfg)
+        assert res.failures == 0 and len(res.rows) == 3
+        assert two_cpus == [2, 2]
+
+    def test_one_replication_runs_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made for one replication")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = CoverageBenchConfig(n_train=100, n_cal=60, n_test=60,
+                                  replications=1, epochs=5)
+        res = run_coverage_bench(cfg)
+        assert res.failures == 0 and len(res.rows) == 3
 
 
 class TestReportWriters:
