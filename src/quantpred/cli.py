@@ -234,8 +234,6 @@ def cmd_predict(args, cfg):
     X, header = ingest_features(args.data)
     if args.target and args.target in header:
         X = X[:, [i for i, h in enumerate(header) if h != args.target]]
-    if X.shape[1] != net.layer_dims[0]:
-        raise CLIError(f"model expects {net.layer_dims[0]} features, got {X.shape[1]}")
 
     levels = (_parse_taus(cfg["taus"]).levels if cfg["taus"]
               else (net.grid.levels if net.grid is not None

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,9 +22,13 @@ class TrainingError(RuntimeError):
     """Training produced a non-finite loss."""
 
     def __init__(self, epoch, batch, message):
-        super().__init__(f"epoch {epoch}, batch {batch}: {message}")
+        # args holds the constructor's arguments, so pickling round-trips
+        super().__init__(epoch, batch, message)
         self.epoch = epoch
         self.batch = batch
+
+    def __str__(self):
+        return "epoch {}, batch {}: {}".format(*self.args)
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +112,8 @@ class TrainingConfig:
 def pinball_loss(residual, tau):
     """rho_tau(u) = u * (tau - 1[u < 0]), identically max(tau*u, (tau-1)*u)."""
     u = np.asarray(residual, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    out = np.where(u >= 0, t * u, (t - 1.0) * u)
+    out = u * (np.asarray(tau, dtype=float) - (u < 0))
     return float(out) if out.ndim == 0 else out
-
-
-def pinball_grad(residual, tau):
-    # subgradient convention: the u >= 0 branch slope tau at the kink
-    u = np.asarray(residual, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    return np.where(u >= 0, t, t - 1.0)
 
 
 def quantile_huber_loss(residual, tau, kappa):
@@ -124,18 +121,15 @@ def quantile_huber_loss(residual, tau, kappa):
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     u = np.asarray(residual, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    au = np.abs(u)
-    huber = np.where(au <= kappa, 0.5 * u * u, kappa * (au - 0.5 * kappa))
-    out = np.abs(t - (u < 0)) * huber / kappa
+    out = _huber_loss(u, np.asarray(tau, dtype=float) - (u < 0), kappa)
     return float(out) if out.ndim == 0 else out
 
 
-def quantile_huber_grad(residual, tau, kappa):
-    u = np.asarray(residual, dtype=float)
-    t = np.asarray(tau, dtype=float)
-    hprime = np.clip(u, -kappa, kappa)
-    return np.abs(t - (u < 0)) * hprime / kappa
+def _huber_loss(u, slope, kappa):
+    """quantile_huber_loss given the pinball slope tau - 1[u < 0]."""
+    au = np.abs(u)
+    huber = np.where(au <= kappa, 0.5 * u * u, kappa * (au - 0.5 * kappa))
+    return np.abs(slope) * huber / kappa
 
 
 def _softplus(z):
@@ -211,30 +205,31 @@ class QuantileNetwork:
         self.x_mean = None
         self.x_std = None
 
-        rng = RandomSource(seed).stream("init")
-        self.weights, self.biases = [], []
+        # every parameter is a view of the one vector theta, in the order
+        # W0, b0, W1, b1, ..., then embed_w, embed_b for the implicit head
+        shapes = []
         for din, dout in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            bound = 1.0 / np.sqrt(din)
-            self.weights.append(rng.uniform(-bound, bound, size=(din, dout)))
-            self.biases.append(np.zeros(dout))
+            shapes += [(din, dout), (dout,)]
         if head == "implicit":
-            h = self.layer_dims[-2]
-            bound = 1.0 / np.sqrt(self.embedding_dim)
-            self.embed_w = rng.uniform(-bound, bound, size=(self.embedding_dim, h))
-            self.embed_b = np.zeros(h)
-        else:
-            self.embed_w = None
-            self.embed_b = None
+            shapes += [(self.embedding_dim, self.layer_dims[-2]), (self.layer_dims[-2],)]
+        ends = np.cumsum([0] + [math.prod(s) for s in shapes])
+        self.theta = np.zeros(ends[-1])
+        self._params = [self.theta[a:b].reshape(s)
+                        for a, b, s in zip(ends[:-1], ends[1:], shapes)]
+        rng = RandomSource(seed).stream("init")
+        for W in self._params[::2]:
+            bound = 1.0 / np.sqrt(W.shape[0])
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+        layers = len(self.layer_dims) - 1
+        self.weights = self._params[0:2 * layers:2]
+        self.biases = self._params[1:2 * layers:2]
+        self.embed_w, self.embed_b = self._params[2 * layers:] or (None, None)
 
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self):
-        params = []
-        for W, b in zip(self.weights, self.biases):
-            params.extend([W, b])
-        if self.head == "implicit":
-            params.extend([self.embed_w, self.embed_b])
-        return params
+        """The live views of theta, in gradient order."""
+        return list(self._params)
 
     def set_standardization(self, mean, std):
         self.x_mean = np.asarray(mean, dtype=float)
@@ -268,7 +263,7 @@ class QuantileNetwork:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.layer_dims[0]:
             raise DomainError(
-                f"input dim {X.shape[1]} != expected {self.layer_dims[0]}"
+                f"model expects {self.layer_dims[0]} features, got {X.shape[1]}"
             )
         if self.head == "implicit" and taus is None:
             raise DomainError("implicit mode requires explicit levels")
@@ -320,14 +315,16 @@ def _forward(net: QuantileNetwork, X, levels):
 def _loss(net: QuantileNetwork, q, y, levels, kappa):
     """Mean configured loss over samples and levels, plus the crossing
     penalty in penalty mode. Also returns what the gradient reuses: the
-    residuals and the crossing violations (None outside penalty mode)."""
+    residuals, the pinball slope tau - 1[u < 0] and the crossing
+    violations (None outside penalty mode)."""
     u = y[:, None] - q
-    loss = quantile_huber_loss(u, levels, kappa) if kappa > 0 else pinball_loss(u, levels)
+    slope = levels - (u < 0)
+    loss = _huber_loss(u, slope, kappa) if kappa > 0 else u * slope
     loss, viol = float(loss.mean()), None
     if net.monotone == "penalty":
         viol = np.maximum(q[:, :-1] - q[:, 1:], 0.0)
         loss += net.penalty_weight * float(np.sum(viol ** 2)) / q.shape[0]
-    return loss, u, viol
+    return loss, u, slope, viol
 
 
 def _trunk_backward(net: QuantileNetwork, delta, zs, activations):
@@ -353,8 +350,9 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
     levels = _levels(taus)
     kappa = config.huber_kappa
     q, cache = _forward(net, batch.features, levels)
-    loss, u, viol = _loss(net, q, y, levels, kappa)
-    dldu = quantile_huber_grad(u, levels, kappa) if kappa > 0 else pinball_grad(u, levels)
+    loss, u, slope, viol = _loss(net, q, y, levels, kappa)
+    # the subgradient at the kink u = 0 is tau, the u >= 0 branch's slope
+    dldu = np.abs(slope) * np.clip(u, -kappa, kappa) / kappa if kappa > 0 else slope
     dq = -dldu * (1.0 / u.size)
     if viol is not None:
         dq_pen = np.zeros_like(q)
@@ -419,9 +417,9 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     std = np.where(std > 0, std, 1.0)
     net.set_standardization(mean, std)
 
-    params = net.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = net.theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -429,7 +427,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     rng = RandomSource(config.seed).stream("train")
     trace = [_full_loss(net, data, levels, config.huber_kappa)]
     best_loss = trace[0]
-    best_params = [p.copy() for p in params]
+    best_theta = theta.copy()
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(data.n)
@@ -440,26 +438,25 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
             if not np.isfinite(loss):
                 raise TrainingError(epoch, start // config.batch_size,
                                     f"non-finite loss {loss}")
+            g = np.concatenate(grads, axis=None)
             step += 1
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= beta1
-                mi += (1 - beta1) * g
-                vi *= beta2
-                vi += (1 - beta2) * g * g
-                mhat = mi / (1 - beta1 ** step)
-                vhat = vi / (1 - beta2 ** step)
-                p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g * g
+            mhat = m / (1 - beta1 ** step)
+            vhat = v / (1 - beta2 ** step)
+            theta -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
         epoch_loss = _full_loss(net, data, levels, config.huber_kappa)
         if not np.isfinite(epoch_loss):
             raise TrainingError(epoch, -1, f"non-finite epoch loss {epoch_loss}")
         trace.append(epoch_loss)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best_params = [p.copy() for p in params]
+            best_theta = theta.copy()
 
     if trace[-1] > trace[0]:
-        for p, bp in zip(params, best_params):
-            p[...] = bp
+        theta[...] = best_theta
         trace.append(best_loss)
     return net, trace
 
@@ -547,19 +544,18 @@ def load(path) -> QuantileNetwork:
             head=doc["head"], embedding_dim=doc["embedding_dim"],
             monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
         )
-        # each array must have the shape of the parameter the constructor built
-        shapes = iter(p.shape for p in net.parameters())
         layers = len(net.weights)
         for kind in ("weights", "biases"):
             if len(doc[kind]) != layers:
                 raise DomainError(f"field {kind} has {len(doc[kind])} arrays, "
                                   f"expected {layers}")
-        for i, (W, b) in enumerate(zip(doc["weights"], doc["biases"])):
-            net.weights[i] = _decode(W, f"weights[{i}]", next(shapes))
-            net.biases[i] = _decode(b, f"biases[{i}]", next(shapes))
+        fields = [(f"{kind}[{i}]", doc[kind][i])
+                  for i in range(layers) for kind in ("weights", "biases")]
         if net.head == "implicit":
-            net.embed_w = _decode(doc["embed"]["w"], "embed.w", next(shapes))
-            net.embed_b = _decode(doc["embed"]["b"], "embed.b", next(shapes))
+            fields += [("embed.w", doc["embed"]["w"]), ("embed.b", doc["embed"]["b"])]
+        # each array fills the view of theta the constructor shaped for it
+        for p, (field, obj) in zip(net.parameters(), fields):
+            p[...] = _decode(obj, field, p.shape)
         stats = doc["standardization"]
         if stats is not None:
             d = (net.layer_dims[0],)

@@ -357,12 +357,15 @@ class TestPipeline:
         assert rc == 1
         assert "requires --train-data" in capsys.readouterr().err
 
-    def test_predict_feature_mismatch(self, pipeline, tmp_path, capsys):
-        bad = write(tmp_path / "bad.csv", "a,b,c\n1,2,3\n")
-        rc = main(["predict", "--model", pipeline["model"], "--data", bad,
-                   "--out", str(tmp_path / "p")])
+    @pytest.mark.parametrize("command", ["calibrate", "eval", "predict"])
+    def test_predict_feature_mismatch(self, pipeline, tmp_path, capsys, command):
+        # one check in the forward pass, so every command says the same
+        bad = write(tmp_path / "bad.csv", "a,b,y\n1,2,3\n")
+        rc = main([command, "--model", pipeline["model"], "--data", bad,
+                   "--target", "y", "--out", str(tmp_path / "p")])
         assert rc == 1
-        assert "expects 1 features" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: model expects 1 features, got 2"]
 
     def test_train_deterministic(self, pipeline, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

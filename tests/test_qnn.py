@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,54 @@ def softplus_inv(y):
 def make_dataset(seed, n=8, d=3):
     rng = RandomSource(seed).stream("data")
     return Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+
+
+def per_array_adam_train(net, data, taus, config):
+    """qnn.train as it was with one Adam moment and one best-parameter
+    snapshot per parameter array: the reference for the whole-vector code."""
+    mean = data.features.mean(axis=0)
+    std = data.features.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    net.set_standardization(mean, std)
+
+    params = net.parameters()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+
+    levels = qnn._levels(taus)
+    rng = RandomSource(config.seed).stream("train")
+    trace = [qnn._full_loss(net, data, levels, config.huber_kappa)]
+    best_loss = trace[0]
+    best_params = [p.copy() for p in params]
+
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            batch = Dataset(data.features[idx], data.targets[idx])
+            _, grads = loss_and_gradient(net, batch, levels, config)
+            step += 1
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= beta1
+                mi += (1 - beta1) * g
+                vi *= beta2
+                vi += (1 - beta2) * g * g
+                mhat = mi / (1 - beta1 ** step)
+                vhat = vi / (1 - beta2 ** step)
+                p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+        epoch_loss = qnn._full_loss(net, data, levels, config.huber_kappa)
+        trace.append(epoch_loss)
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best_params = [p.copy() for p in params]
+
+    if trace[-1] > trace[0]:
+        for p, bp in zip(params, best_params):
+            p[...] = bp
+        trace.append(best_loss)
+    return net, trace
 
 
 class TestPinball:
@@ -77,6 +126,23 @@ class TestQuantileHuber:
     def test_rejects_bad_kappa(self):
         with pytest.raises(DomainError):
             quantile_huber_loss(1.0, 0.5, 0.0)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("head", ["multi", "implicit"])
+    def test_parameters_are_views_of_theta(self, head):
+        if head == "multi":
+            net = QuantileNetwork([3, 5, 4, 2], grid=QuantileGrid([0.1, 0.9]), seed=2)
+        else:
+            net = QuantileNetwork([3, 5, 1], head="implicit", embedding_dim=6,
+                                  monotone="penalty", seed=2)
+        params = net.parameters()
+        assert sum(p.size for p in params) == net.theta.size
+        assert np.array_equal(np.concatenate(params, axis=None), net.theta)
+        for p in params:
+            assert np.shares_memory(p, net.theta)
+        net.theta[...] = 1.5
+        assert all(np.all(p == 1.5) for p in net.parameters())
 
 
 class TestForward:
@@ -280,6 +346,31 @@ class TestTrain:
         start.set_standardization(net.x_mean, net.x_std)
         assert trace[0] == loss_and_gradient(start, ds, grid, cfg)[0]
 
+    @pytest.mark.parametrize("head,mono,kappa", [
+        ("multi", "increments", 0.0), ("multi", "penalty", 0.0),
+        ("multi", "increments", 0.5), ("implicit", "penalty", 0.0),
+    ])
+    @pytest.mark.parametrize("learning_rate,restored", [(0.05, False), (3.0, True)])
+    def test_whole_vector_adam_matches_per_array_reference(
+            self, head, mono, kappa, learning_rate, restored):
+        grid = QuantileGrid([0.1, 0.5, 0.9])
+        ds = make_dataset(21, n=40, d=2)
+        cfg = TrainingConfig(learning_rate=learning_rate, epochs=3, batch_size=16,
+                             huber_kappa=kappa, seed=3)
+
+        def fresh():
+            return QuantileNetwork([2, 6, 3 if head == "multi" else 1], grid=grid,
+                                   activation="tanh", head=head, embedding_dim=8,
+                                   monotone=mono, penalty_weight=0.7, seed=4)
+
+        net, trace = train(fresh(), ds, grid, cfg)
+        ref, ref_trace = per_array_adam_train(fresh(), ds, grid, cfg)
+        # a restore appends the best loss after the epochs + 1 entries
+        assert len(trace) == cfg.epochs + 1 + restored
+        assert trace == ref_trace
+        for a, b in zip(net.parameters(), ref.parameters()):
+            assert np.array_equal(a, b)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_raises_training_error(self):
         ds = make_dataset(6, n=32, d=2)
@@ -288,6 +379,12 @@ class TestTrain:
         cfg = TrainingConfig(learning_rate=1e300, epochs=3, batch_size=16, seed=6)
         with pytest.raises(TrainingError):
             train(net, ds, grid, cfg)
+
+    def test_training_error_pickles(self):
+        exc = pickle.loads(pickle.dumps(TrainingError(3, 1, "x")))
+        assert isinstance(exc, TrainingError)
+        assert str(exc) == "epoch 3, batch 1: x"
+        assert (exc.epoch, exc.batch) == (3, 1)
 
 
 class TestMonotonicity:
@@ -391,6 +488,7 @@ class TestSerialization:
         other = qnn.load(path)
         for a, b in zip(net.parameters(), other.parameters()):
             assert np.array_equal(a, b)
+            assert np.shares_memory(b, other.theta)
         assert np.array_equal(net.x_mean, other.x_mean)
         assert other.layer_dims == net.layer_dims
         assert other.monotone == net.monotone
@@ -398,6 +496,15 @@ class TestSerialization:
         path2 = os.path.join(tmp_path, "model2.qnet")
         qnn.save(other, path2)
         assert open(path, "rb").read() == open(path2, "rb").read()
+        # the loaded model trains as the original does: training updates
+        # theta, which the loaded arrays must be views of
+        ds = make_dataset(8, n=24, d=2)
+        cfg = TrainingConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=1)
+        _, trace = train(net, ds, grid, cfg)
+        _, other_trace = train(other, ds, grid, cfg)
+        assert trace == other_trace and trace[-1] != trace[0]
+        for a, b in zip(net.parameters(), other.parameters()):
+            assert np.array_equal(a, b)
 
     def test_bad_format_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "junk.qnet")
