@@ -42,8 +42,10 @@ class EfronConfig:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("n must be at least 2")
-        if self.m_replications < 1:
-            raise DomainError("need at least one replication")
+        # the standard errors take a sample variance, which needs two
+        if self.m_replications < 2:
+            raise DomainError(
+                f"m_replications must be at least 2, got {self.m_replications}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ def efron_estimation_ratio(config: EfronConfig) -> RatioResult:
 
 def median_variance_factor(n, replications=100_000, seed=0):
     """Nested Monte Carlo oracle for Var(median of n standard normals)."""
+    if replications < 2:
+        raise DomainError(f"oracle replications must be at least 2, got {replications}")
     rng = RandomSource(seed).stream("median-variance-oracle")
     chunk = max(1, min(replications, 10_000_000 // n))
     total, total_sq, count = 0.0, 0.0, 0
@@ -148,6 +152,8 @@ def run_normal_normal_demo(n: int = 100, seed: int = 4, out_dir: str | None = No
     """Seeded conjugate-update demo: posterior constants, distortion
     identity check, and the three plot-data panels, for the prior N(0, 5)
     and data y ~ N(3, 10)."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     prior, true_theta = analytic.NormalNormalModel(0.0, 5.0, 10.0), 3.0
     rng = RandomSource(seed).stream("normal-normal-demo")
     sigma = np.sqrt(prior.likelihood_variance)

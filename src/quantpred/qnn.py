@@ -116,17 +116,9 @@ def pinball_loss(residual, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def quantile_huber_loss(residual, tau, kappa):
-    """|tau - 1[u<0]| * H_kappa(u) / kappa with the Huber norm H_kappa."""
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
-    u = np.asarray(residual, dtype=float)
-    out = _huber_loss(u, np.asarray(tau, dtype=float) - (u < 0), kappa)
-    return float(out) if out.ndim == 0 else out
-
-
 def _huber_loss(u, slope, kappa):
-    """quantile_huber_loss given the pinball slope tau - 1[u < 0]."""
+    """The quantile-Huber loss |tau - 1[u<0]| * H_kappa(u) / kappa with the
+    Huber norm H_kappa, given the pinball slope tau - 1[u < 0]."""
     au = np.abs(u)
     huber = np.where(au <= kappa, 0.5 * u * u, kappa * (au - 0.5 * kappa))
     return np.abs(slope) * huber / kappa
@@ -156,10 +148,11 @@ class QuantileNetwork:
     head "multi": the last layer emits one raw value per grid level; in
     increments monotone mode raw[0] is the base quantile and softplus of
     the remaining raw values are cumulative non-negative increments, so
-    outputs never cross. head "implicit": a trunk embeds the features, a
-    cosine basis cos(pi*i*tau) embeds the level, the two are combined by
-    elementwise product and a final linear layer emits one scalar; only
-    penalty monotone mode applies there.
+    outputs never cross. head "implicit": the same output layer, with
+    weights the levels generate. Each level tau is embedded as
+    phi(tau) = relu(cos(pi*i*tau) @ embed_w + embed_b), and the output
+    weights' column for tau is w * phi(tau), so one trunk pass serves any
+    set of levels; only penalty monotone mode applies there.
     """
 
     def __init__(self, layer_dims, grid=None, activation="relu", head="multi",
@@ -202,8 +195,9 @@ class QuantileNetwork:
         self.embedding_dim = int(embedding_dim)
         self.monotone = monotone
         self.penalty_weight = float(penalty_weight)
-        self.x_mean = None
-        self.x_std = None
+        # the identity until train (or load) sets the feature statistics
+        self.x_mean = np.zeros(self.layer_dims[0])
+        self.x_std = np.ones(self.layer_dims[0])
 
         # every parameter is a view of the one vector theta, in the order
         # W0, b0, W1, b1, ..., then embed_w, embed_b for the implicit head
@@ -236,8 +230,6 @@ class QuantileNetwork:
         self.x_std = np.asarray(std, dtype=float)
 
     def _standardize(self, X):
-        if self.x_mean is None:
-            return X
         return (X - self.x_mean) / self.x_std
 
     # -- forward ------------------------------------------------------------
@@ -295,21 +287,20 @@ def _forward(net: QuantileNetwork, X, levels):
     only by the implicit head.
     """
     psi, zs, activations = net._trunk_forward(net._standardize(X))
-    if net.head == "multi":
-        raw = psi @ net.weights[-1] + net.biases[-1]
-        q = raw
-        if net.monotone == "increments":
-            q = np.empty_like(raw)
-            q[:, 0] = raw[:, 0]
-            if raw.shape[1] > 1:
-                q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
-        return q, (zs, activations, raw)
-    cos_feat = net._cosine_features(levels)
-    ze = cos_feat @ net.embed_w + net.embed_b
-    phi = np.maximum(ze, 0.0)
-    h = psi[:, None, :] * phi[None, :, :]          # n x K x H
-    q = h @ net.weights[-1][:, 0] + net.biases[-1][0]
-    return q, (zs, activations, cos_feat, ze, phi, h)
+    W, cos_feat, phi = net.weights[-1], None, None
+    if net.head == "implicit":
+        # the levels generate the output weights: column k is w * phi(tau_k)
+        cos_feat = net._cosine_features(levels)
+        phi = np.maximum(cos_feat @ net.embed_w + net.embed_b, 0.0)  # K x H
+        W = W * phi.T
+    raw = psi @ W + net.biases[-1]
+    q = raw
+    if net.monotone == "increments":
+        q = np.empty_like(raw)
+        q[:, 0] = raw[:, 0]
+        if raw.shape[1] > 1:
+            q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
+    return q, (zs, activations, raw, W, cos_feat, phi)
 
 
 def _loss(net: QuantileNetwork, q, y, levels, kappa):
@@ -361,30 +352,23 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
         dq_pen[:, 1:] -= g
         dq = dq + dq_pen
 
+    zs, activations, raw, W, cos_feat, phi = cache
+    draw = dq
+    if net.monotone == "increments":
+        # q_k = raw_0 + sum_{j<=k, j>=1} softplus(raw_j)
+        tail = np.cumsum(dq[:, ::-1], axis=1)[:, ::-1]
+        draw = np.empty_like(dq)
+        draw[:, 0] = tail[:, 0]
+        if raw.shape[1] > 1:
+            draw[:, 1:] = tail[:, 1:] * _sigmoid(raw[:, 1:])
+    grads = _trunk_backward(net, draw @ W.T, zs, activations)
+    gW, gb = activations[-1].T @ draw, draw.sum(axis=0)
     if net.head == "multi":
-        zs, activations, raw = cache
-        draw = dq
-        if net.monotone == "increments":
-            # q_k = raw_0 + sum_{j<=k, j>=1} softplus(raw_j)
-            tail = np.cumsum(dq[:, ::-1], axis=1)[:, ::-1]
-            draw = np.empty_like(dq)
-            draw[:, 0] = tail[:, 0]
-            if raw.shape[1] > 1:
-                draw[:, 1:] = tail[:, 1:] * _sigmoid(raw[:, 1:])
-        grads = _trunk_backward(net, draw @ net.weights[-1].T, zs, activations)
-        return loss, grads + [activations[-1].T @ draw, draw.sum(axis=0)]
-
-    zs, activations, cos_feat, ze, phi, h = cache
-    psi = activations[-1]
-    w_out = net.weights[-1][:, 0]
-    gw_out = np.einsum("nkh,nk->h", h, dq)[:, None]
-    gb_out = np.array([dq.sum()])
-    dh = dq[:, :, None] * w_out[None, None, :]
-    dpsi = np.einsum("nkh,kh->nh", dh, phi)
-    dphi = np.einsum("nkh,nh->kh", dh, psi)
-    dze = dphi * (ze > 0)
-    grads = _trunk_backward(net, dpsi, zs, activations)
-    return loss, grads + [gw_out, gb_out, cos_feat.T @ dze, dze.sum(axis=0)]
+        return loss, grads + [gW, gb]
+    # the implicit head: gW and gb back to w, b and the embedding through W
+    dze = gW.T * net.weights[-1].T * (phi > 0)
+    gw = (gW * phi.T).sum(axis=1, keepdims=True)
+    return loss, grads + [gw, gb.sum(keepdims=True), cos_feat.T @ dze, dze.sum(axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +493,7 @@ def save(net: QuantileNetwork, path):
         "embedding_dim": net.embedding_dim,
         "monotone": net.monotone,
         "penalty_weight": net.penalty_weight,
-        "standardization": None if net.x_mean is None else {
-            "mean": _encode(net.x_mean), "std": _encode(net.x_std),
-        },
+        "standardization": {"mean": _encode(net.x_mean), "std": _encode(net.x_std)},
         "weights": [_encode(W) for W in net.weights],
         "biases": [_encode(b) for b in net.biases],
         "embed": None if net.embed_w is None else {
@@ -556,13 +538,11 @@ def load(path) -> QuantileNetwork:
         # each array fills the view of theta the constructor shaped for it
         for p, (field, obj) in zip(net.parameters(), fields):
             p[...] = _decode(obj, field, p.shape)
-        stats = doc["standardization"]
-        if stats is not None:
-            d = (net.layer_dims[0],)
-            net.x_mean = _decode(stats["mean"], "standardization.mean", d)
-            net.x_std = _decode(stats["std"], "standardization.std", d)
-            if np.any(net.x_std <= 0):
-                raise DomainError("field standardization.std has a value <= 0")
+        stats, d = doc["standardization"], net.x_mean.shape
+        net.x_mean = _decode(stats["mean"], "standardization.mean", d)
+        net.x_std = _decode(stats["std"], "standardization.std", d)
+        if np.any(net.x_std <= 0):
+            raise DomainError("field standardization.std has a value <= 0")
     except KeyError as exc:
         raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

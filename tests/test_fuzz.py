@@ -1,6 +1,6 @@
-"""Fuzzed CSV cells, config values and --alpha levels through cli.main: a
-run ends with status 0, or with status 1 and a single error: line on
-stderr, never with an exception."""
+"""Fuzzed CSV cells, config values, demo settings and --alpha levels
+through cli.main: a run ends with status 0, or with status 1 and a single
+error: line on stderr, never with an exception."""
 
 import contextlib
 import csv
@@ -45,6 +45,11 @@ TRAIN_KEYS = st.fixed_dictionaries({}, optional={
     "activation": st.sampled_from(["relu", "tanh", "softmax", ""]),
     "monotone": st.sampled_from(["increments", "penalty", "none"]),
 })
+# every demo size and replication count, small so that an efron run is fast
+DEMO_SETTINGS = ("n", "efron_n", "efron_replications", "sweep_replications",
+                 "oracle_replications")
+DEMO_KEYS = st.fixed_dictionaries(
+    {key: st.integers(-1, 4) for key in DEMO_SETTINGS})
 # 0.1 and 0.5 put the interval levels on the grid of the model below
 ALPHAS = st.one_of(st.floats(), st.sampled_from([0.1, 0.5]))
 
@@ -66,7 +71,7 @@ def config_file(directory, section, values):
 
 def run(argv):
     """cli.main(argv) with the stderr and warnings of a command-line run;
-    checks the exit contract and returns the status."""
+    checks the exit contract and returns the status and the stderr lines."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err):
@@ -78,7 +83,7 @@ def run(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     # the one warning a run may give is the kernel's underflow notice
     assert all("kernel weights underflowed" in str(w.message) for w in caught)
-    return status
+    return status, lines
 
 
 def check_eval_csv(out):
@@ -127,7 +132,7 @@ def test_eval_qnn(model, rows, alpha):
     with tempfile.TemporaryDirectory() as d:
         if run(["eval", "--method", "qnn", "--model", model,
                 "--data", csv_file(d, "d.csv", rows), "--target", "y",
-                f"--alpha={alpha!r}", "--out", d]) == 0:
+                f"--alpha={alpha!r}", "--out", d])[0] == 0:
             check_eval_csv(d)
 
 
@@ -144,5 +149,22 @@ def test_eval_kernel(train, test, alpha, bandwidth):
                 "--train-data", csv_file(d, "train.csv", train),
                 "--data", csv_file(d, "test.csv", test), "--target", "y",
                 "--config", config_file(d, "eval", {"bandwidth": bandwidth}),
-                f"--alpha={alpha!r}", "--out", d]) == 0:
+                f"--alpha={alpha!r}", "--out", d])[0] == 0:
             check_eval_csv(d)
+
+
+@FUZZ
+@given(which=st.sampled_from(["normal-normal", "efron"]), values=DEMO_KEYS)
+@example(which="normal-normal", values=dict.fromkeys(DEMO_SETTINGS, 2) | {"n": -1})
+@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
+         | {"oracle_replications": 1})
+@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
+         | {"efron_replications": 1})
+@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
+         | {"sweep_replications": 1})
+def test_demo(which, values):
+    with tempfile.TemporaryDirectory() as d:
+        status, lines = run(["demo", which, "--config", config_file(d, "demo", values),
+                             "--out", d])
+        # settings this small cannot overflow: an error must name a setting
+        assert status == 0 or "float arithmetic" not in lines[0], lines

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 
@@ -17,7 +18,6 @@ from quantpred.qnn import (
     pinball_loss,
     predict_interval,
     predict_intervals,
-    quantile_huber_loss,
     train,
 )
 
@@ -79,6 +79,39 @@ def per_array_adam_train(net, data, taus, config):
     return net, trace
 
 
+def einsum_implicit_loss_and_gradient(net, batch, levels, config):
+    """loss_and_gradient for the implicit head as it was with its own head
+    forward and backward: an n x K x H product h of the trunk output and
+    the level embedding, with einsum gradients. The reference for the
+    level-generated output layer."""
+    psi, zs, activations = net._trunk_forward(net._standardize(batch.features))
+    cos_feat = net._cosine_features(levels)
+    ze = cos_feat @ net.embed_w + net.embed_b
+    phi = np.maximum(ze, 0.0)
+    h = psi[:, None, :] * phi[None, :, :]
+    q = h @ net.weights[-1][:, 0] + net.biases[-1][0]
+
+    kappa = config.huber_kappa
+    loss, u, slope, viol = qnn._loss(net, q, batch.targets, levels, kappa)
+    dldu = np.abs(slope) * np.clip(u, -kappa, kappa) / kappa if kappa > 0 else slope
+    dq = -dldu * (1.0 / u.size)
+    dq_pen = np.zeros_like(q)
+    g = 2.0 * net.penalty_weight * viol / q.shape[0]
+    dq_pen[:, :-1] += g
+    dq_pen[:, 1:] -= g
+    dq = dq + dq_pen
+
+    w_out = net.weights[-1][:, 0]
+    gw_out = np.einsum("nkh,nk->h", h, dq)[:, None]
+    gb_out = np.array([dq.sum()])
+    dh = dq[:, :, None] * w_out[None, None, :]
+    dpsi = np.einsum("nkh,kh->nh", dh, phi)
+    dphi = np.einsum("nkh,nh->kh", dh, psi)
+    dze = dphi * (ze > 0)
+    grads = qnn._trunk_backward(net, dpsi, zs, activations)
+    return loss, grads + [gw_out, gb_out, cos_feat.T @ dze, dze.sum(axis=0)]
+
+
 class TestPinball:
     def test_median_is_half_absolute_error(self):
         for u in (-2.0, 3.0):
@@ -107,25 +140,36 @@ class TestPinball:
 
 
 class TestQuantileHuber:
+    """The training loss with huber_kappa > 0, on a one-row, one-level net
+    whose output is 0, so that the residual u is the target."""
+
+    @staticmethod
+    def huber(u, tau, kappa):
+        grid = QuantileGrid([tau])
+        net = QuantileNetwork([1, 1], grid=grid, seed=0)
+        net.theta[...] = 0.0
+        loss, _ = loss_and_gradient(net, Dataset([[0.0]], [u]), grid,
+                                    TrainingConfig(huber_kappa=kappa))
+        return loss
+
     def test_zero(self):
-        assert quantile_huber_loss(0.0, 0.3, 1.0) == 0.0
+        assert self.huber(0.0, 0.3, 1.0) == 0.0
 
     def test_hand_value(self):
         # |tau - 0| * kappa * (|u| - kappa/2) / kappa at u=2, tau=0.5, kappa=1
-        assert quantile_huber_loss(2.0, 0.5, 1.0) == pytest.approx(0.75)
+        assert self.huber(2.0, 0.5, 1.0) == pytest.approx(0.75)
 
     def test_pinball_limit(self):
-        assert quantile_huber_loss(1.0, 0.9, 1e-6) == pytest.approx(0.9, abs=1e-5)
+        assert self.huber(1.0, 0.9, 1e-6) == pytest.approx(0.9, abs=1e-5)
 
     def test_limit_uniform_on_bounded_set(self):
-        us = np.linspace(-3, 3, 301)
         for tau in (0.1, 0.5, 0.9):
-            gap = np.abs(quantile_huber_loss(us, tau, 1e-6) - pinball_loss(us, tau))
-            assert np.max(gap) < 1e-5
+            for u in np.linspace(-3, 3, 61):
+                assert abs(self.huber(u, tau, 1e-6) - pinball_loss(u, tau)) < 1e-5
 
-    def test_rejects_bad_kappa(self):
-        with pytest.raises(DomainError):
-            quantile_huber_loss(1.0, 0.5, 0.0)
+    def test_rejects_negative_kappa(self):
+        with pytest.raises(DomainError, match="huber_kappa"):
+            TrainingConfig(huber_kappa=-1)
 
 
 class TestParameterVector:
@@ -242,6 +286,29 @@ class TestLossAndGradient:
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(g[ix]), 1e-8)
                 assert abs(fd - g[ix]) / denom < 1e-4
+
+    @pytest.mark.parametrize("activation,kappa,dims,levels", [
+        ("relu", 0.0, [3, 10, 1], [0.1, 0.5, 0.9]),
+        ("tanh", 0.5, [3, 10, 1], [0.1, 0.5, 0.9]),
+        ("relu", 0.5, [3, 16, 12, 1], np.linspace(0.02, 0.98, 9)),
+        ("tanh", 0.0, [3, 1], [0.3]),
+    ])
+    def test_implicit_matches_einsum_reference(self, activation, kappa, dims, levels):
+        net = QuantileNetwork(dims, activation=activation, head="implicit",
+                              embedding_dim=7, monotone="penalty",
+                              penalty_weight=0.7, seed=13)
+        net.set_standardization([0.1, -0.2, 0.3], [1.5, 0.5, 2.0])
+        ds = make_dataset(22, n=50)
+        levels = np.asarray(levels)
+        cfg = TrainingConfig(huber_kappa=kappa)
+        loss, grads = loss_and_gradient(net, ds, levels, cfg)
+        ref_loss, ref_grads = einsum_implicit_loss_and_gradient(net, ds, levels, cfg)
+        # the two sum the same products in a different order
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.all(np.abs(g - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     def test_empty_batch_rejected(self):
         grid = QuantileGrid([0.5])
@@ -505,6 +572,28 @@ class TestSerialization:
         assert trace == other_trace and trace[-1] != trace[0]
         for a, b in zip(net.parameters(), other.parameters()):
             assert np.array_equal(a, b)
+
+    def test_fresh_model_standardizes_as_the_identity(self, tmp_path):
+        net = QuantileNetwork([2, 4, 1], grid=QuantileGrid([0.5]), seed=0)
+        assert net.x_mean.tolist() == [0.0, 0.0] and net.x_std.tolist() == [1.0, 1.0]
+        X = np.array([[-0.0, 3.5], [1e300, -2.0]])
+        assert np.array_equal(net._standardize(X), X)
+        path = os.path.join(tmp_path, "model.qnet")
+        qnn.save(net, path)
+        other = qnn.load(path)
+        assert np.array_equal(other.forward_batch(X), net.forward_batch(X))
+
+    def test_null_standardization_rejected(self, tmp_path):
+        net = QuantileNetwork([2, 4, 1], grid=QuantileGrid([0.5]), seed=0)
+        path = os.path.join(tmp_path, "model.qnet")
+        qnn.save(net, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["standardization"] = None
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(DomainError, match="malformed model"):
+            qnn.load(path)
 
     def test_bad_format_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "junk.qnet")
