@@ -284,19 +284,28 @@ def cmd_eval(args, cfg):
               [(cfg["method"], alpha, coverage, mean_width)])
 
 
+def _at_least(cfg, key, minimum):
+    """The integer demo setting key, checked before any demo work starts."""
+    value = int(cfg[key])
+    if value < minimum:
+        raise CLIError(f"[demo] {key} must be at least {minimum}, got {value}")
+    return value
+
+
 def cmd_demo(args, cfg):
     os.makedirs(args.out, exist_ok=True)
     if args.which == "normal-normal":
-        experiments.run_normal_normal_demo(n=int(cfg["n"]), seed=int(cfg["seed"]),
-                                           out_dir=args.out)
+        experiments.run_normal_normal_demo(n=_at_least(cfg, "n", 1),
+                                           seed=int(cfg["seed"]), out_dir=args.out)
     elif args.which == "efron":
+        # the standard errors take sample variances, which need two replications
         experiments.write_efron_report(
             args.out,
-            experiments.EfronConfig(n=int(cfg["efron_n"]),
-                                    m_replications=int(cfg["efron_replications"]),
+            experiments.EfronConfig(n=_at_least(cfg, "efron_n", 2),
+                                    m_replications=_at_least(cfg, "efron_replications", 2),
                                     seed=int(cfg["seed"])),
-            m_replications=int(cfg["sweep_replications"]),
-            oracle_replications=int(cfg["oracle_replications"]),
+            m_replications=_at_least(cfg, "sweep_replications", 2),
+            oracle_replications=_at_least(cfg, "oracle_replications", 2),
         )
     else:  # coverage; argparse admits no other demo
         experiments.write_coverage_report(

@@ -45,11 +45,18 @@ TRAIN_KEYS = st.fixed_dictionaries({}, optional={
     "activation": st.sampled_from(["relu", "tanh", "softmax", ""]),
     "monotone": st.sampled_from(["increments", "penalty", "none"]),
 })
-# every demo size and replication count, small so that an efron run is fast
-DEMO_SETTINGS = ("n", "efron_n", "efron_replications", "sweep_replications",
-                 "oracle_replications")
-DEMO_KEYS = st.fixed_dictionaries(
-    {key: st.integers(-1, 4) for key in DEMO_SETTINGS})
+# the size and replication counts each demo reads, with their minimums;
+# drawn small so that an efron run is fast
+DEMO_MINIMUMS = {
+    "normal-normal": {"n": 1},
+    "efron": {"efron_n": 2, "efron_replications": 2, "sweep_replications": 2,
+              "oracle_replications": 2},
+}
+DEMOS = st.one_of([
+    st.tuples(st.just(which),
+              st.fixed_dictionaries({key: st.integers(-1, 4) for key in minimums}))
+    for which, minimums in DEMO_MINIMUMS.items()])
+EFRON_AT_2 = dict.fromkeys(DEMO_MINIMUMS["efron"], 2)
 # 0.1 and 0.5 put the interval levels on the grid of the model below
 ALPHAS = st.one_of(st.floats(), st.sampled_from([0.1, 0.5]))
 
@@ -154,17 +161,18 @@ def test_eval_kernel(train, test, alpha, bandwidth):
 
 
 @FUZZ
-@given(which=st.sampled_from(["normal-normal", "efron"]), values=DEMO_KEYS)
-@example(which="normal-normal", values=dict.fromkeys(DEMO_SETTINGS, 2) | {"n": -1})
-@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
-         | {"oracle_replications": 1})
-@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
-         | {"efron_replications": 1})
-@example(which="efron", values=dict.fromkeys(DEMO_SETTINGS, 2)
-         | {"sweep_replications": 1})
-def test_demo(which, values):
+@given(demo=DEMOS)
+@example(demo=("normal-normal", {"n": -1}))
+@example(demo=("efron", EFRON_AT_2 | {"oracle_replications": 1}))
+@example(demo=("efron", EFRON_AT_2 | {"efron_replications": 1}))
+@example(demo=("efron", EFRON_AT_2 | {"sweep_replications": 1}))
+def test_demo(demo):
+    which, values = demo
+    too_small = [key for key, low in DEMO_MINIMUMS[which].items() if values[key] < low]
     with tempfile.TemporaryDirectory() as d:
         status, lines = run(["demo", which, "--config", config_file(d, "demo", values),
                              "--out", d])
-        # settings this small cannot overflow: an error must name a setting
-        assert status == 0 or "float arithmetic" not in lines[0], lines
+    # a run fails exactly when a setting is below its minimum, and says which
+    assert status == (1 if too_small else 0), lines
+    if too_small:
+        assert any(f"[demo] {key} " in lines[0] for key in too_small), lines

@@ -164,7 +164,7 @@ class TestQuantileHuber:
 
     def test_limit_uniform_on_bounded_set(self):
         for tau in (0.1, 0.5, 0.9):
-            for u in np.linspace(-3, 3, 61):
+            for u in np.linspace(-3, 3, 301):
                 assert abs(self.huber(u, tau, 1e-6) - pinball_loss(u, tau)) < 1e-5
 
     def test_rejects_negative_kappa(self):
