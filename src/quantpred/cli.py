@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import os
@@ -28,24 +29,48 @@ class CLIError(Exception):
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# rows per bulk float conversion in ingest_features
+_CHUNK_ROWS = 1024
+
+
 def ingest_features(path) -> tuple:
     """Parse a headed numeric csv into (rows as an array, header names)."""
     if not os.path.exists(path):
         raise CLIError(f"file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CLIError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not header or any(not h.strip() for h in header):
-        raise CLIError(f"{path}: malformed header row")
-    header = tuple(h.strip() for h in header)
-    if not rows:
+            header = next(reader, None)
+            if header is None:
+                raise CLIError(f"{path}: empty file")
+            if not header or any(not h.strip() for h in header):
+                raise CLIError(f"{path}: malformed header row")
+            header = tuple(h.strip() for h in header)
+            chunks, line = [], 2  # header is line 1
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                chunks.append(_parse_rows(path, header, rows, line))
+                line += len(rows)
+        except UnicodeDecodeError:
+            raise CLIError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise CLIError(f"{path}:{reader.line_num}: {exc}") from None
+    if not chunks:
         raise CLIError(f"{path}: no data rows")
+    return np.concatenate(chunks), header
+
+
+def _parse_rows(path, header, rows, line):
+    """rows, the first on the given line, as one float array; a ragged row,
+    a cell float() rejects and a non-finite value are errors naming the
+    line and column. One bulk conversion serves rows without such a cell."""
+    try:
+        data = np.array(rows, dtype=float)
+        if data.shape == (len(rows), len(header)) and np.isfinite(data).all():
+            return data
+    except ValueError:
+        pass
     data = np.empty((len(rows), len(header)))
-    for r, row in enumerate(rows, start=2):  # header is line 1
+    for r, row in enumerate(rows, start=line):
         if len(row) != len(header):
             raise CLIError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
@@ -59,8 +84,8 @@ def ingest_features(path) -> tuple:
                 raise CLIError(
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
-            data[r - 2, c] = v
-    return data, header
+            data[r - line, c] = v
+    return data
 
 
 def ingest_csv(path, target_column) -> qnn.Dataset:
@@ -129,7 +154,8 @@ def load_config(path=None):
     if not os.path.exists(path):
         raise CLIError(f"config file not found: {path}")
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
         items = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # configparser spans lines
@@ -397,6 +423,8 @@ def main(argv=None):
                    "float arithmetic")
     except (CLIError, DomainError, qnn.TrainingError, analytic.NumericalError) as exc:
         message = exc
+    except OSError as exc:  # say, a directory where a file should be, or the reverse
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     print(f"error: {message}", file=sys.stderr)
     return 1
 

@@ -66,14 +66,32 @@ def _ratio_with_se(num_sq, den_sq):
     return RatioResult(a / b, float(np.sqrt(max(var_r, 0.0))), a, b)
 
 
+# normal draws held at once by the Monte Carlo loops, unless one row is longer
+_DRAW_CHUNK = 10_000_000
+
+
+def _normal_rows(rng, m, n):
+    """An m x n standard normal matrix from rng, drawn and yielded in chunks
+    of whole rows, at most _DRAW_CHUNK values each unless one row is longer.
+    The rows are the ones a single draw of the whole matrix gives."""
+    chunk = max(1, min(m, _DRAW_CHUNK // n))
+    for start in range(0, m, chunk):
+        yield rng.standard_normal((min(chunk, m - start), n))
+
+
+def _medians_and_means(rng, m, n):
+    """The median and the mean of each row of _normal_rows(rng, m, n)."""
+    chunks = [(np.median(draws, axis=1), draws.mean(axis=1))
+              for draws in _normal_rows(rng, m, n)]
+    return tuple(np.concatenate(stat) for stat in zip(*chunks))
+
+
 def efron_estimation_ratio(config: EfronConfig) -> RatioResult:
     """Monte Carlo estimate of E((median - theta)^2) / E((mean - theta)^2)
     for N(theta, 1) samples, at theta = 0 (both estimators are location
     equivariant); the large-n limit is pi/2."""
     rng = RandomSource(config.seed).stream("efron-estimation")
-    draws = rng.standard_normal((config.m_replications, config.n))
-    med = np.median(draws, axis=1)
-    mean = draws.mean(axis=1)
+    med, mean = _medians_and_means(rng, config.m_replications, config.n)
     return _ratio_with_se(med ** 2, mean ** 2)
 
 
@@ -82,17 +100,14 @@ def median_variance_factor(n, replications=100_000, seed=0):
     if replications < 2:
         raise DomainError(f"oracle replications must be at least 2, got {replications}")
     rng = RandomSource(seed).stream("median-variance-oracle")
-    chunk = max(1, min(replications, 10_000_000 // n))
-    total, total_sq, count = 0.0, 0.0, 0
-    while count < replications:
-        k = min(chunk, replications - count)
-        med = np.median(rng.standard_normal((k, n)), axis=1)
+    total, total_sq = 0.0, 0.0
+    for draws in _normal_rows(rng, replications, n):
+        med = np.median(draws, axis=1)
         total += med.sum()
         total_sq += (med ** 2).sum()
-        count += k
-    mean = total / count
-    var = total_sq / count - mean ** 2
-    se = var * np.sqrt(2.0 / (count - 1))
+    mean = total / replications
+    var = total_sq / replications - mean ** 2
+    se = var * np.sqrt(2.0 / (replications - 1))
     return float(var), float(se)
 
 
@@ -114,10 +129,8 @@ def efron_prediction_ratio(config: EfronConfig,
     Monte Carlo oracle on an independent stream.
     """
     rng = RandomSource(config.seed).stream("efron-prediction")
-    draws = rng.standard_normal((config.m_replications, config.n))
+    med, mean = _medians_and_means(rng, config.m_replications, config.n)
     x_new = rng.standard_normal(config.m_replications)
-    med = np.median(draws, axis=1)
-    mean = draws.mean(axis=1)
     mc = _ratio_with_se((med - x_new) ** 2, (mean - x_new) ** 2)
 
     v_med, v_se = median_variance_factor(config.n, oracle_replications,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +16,12 @@ from .numerics import DomainError, check_alpha
 _TINY = np.finfo(float).tiny
 # kernel values per block of queries: 512 KB, so the work arrays stay in cache
 _BLOCK = 2 ** 16
+# kernel values from which nw_predict spreads its blocks over threads. On a
+# 2-core x86 host a pool of two threads took 0.17 ms to start and join, and
+# 2**24 values about 0.13 s serial and 0.08 s on two threads; at 10**6, the
+# size of each NW call in demo coverage's forked workers, the gain was lost
+# in the noise, so those calls stay serial.
+_THREADED = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,10 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     cancels in the ratio and makes the nearest weight exactly 1, so a tiny
     bandwidth gives the nearest target, the formula's limit. Queries whose
     unshifted weights would all underflow trigger a RuntimeWarning.
+
+    From _THREADED kernel values on, runs of whole blocks go to one thread
+    per available CPU; every block holds the queries of the serial loop, so
+    the estimates have the same bits on any number of CPUs.
     """
     X, y = train.features, train.targets
     n, d = X.shape
@@ -44,15 +56,44 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     s2 = 2.0 * config.bandwidth ** 2
     XT = np.ascontiguousarray(X.T)
     rows = max(1, _BLOCK // n)
-    k = np.empty((min(rows, Q.shape[0]), n))
-    tmp = np.empty_like(k)
     out = np.empty(Q.shape[0])
+    blocks = -(-Q.shape[0] // rows)
+    workers = 1
+    if n * Q.shape[0] >= _THREADED and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), blocks)
+    if workers == 1:
+        underflowed = _nw_blocks(XT, y, Q, s2, rows, out, 0, Q.shape[0])
+    else:
+        # threads start with numpy's default error state, so each chunk
+        # runs under the caller's (cli.main raises on overflow)
+        per = -(-blocks // workers) * rows
+        err = np.geterr()
+
+        def chunk(a):
+            with np.errstate(**err):
+                return _nw_blocks(XT, y, Q, s2, rows, out, a, min(a + per, Q.shape[0]))
+
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            underflowed = sum(pool.map(chunk, range(0, Q.shape[0], per)))
+    if underflowed:
+        warnings.warn(f"all kernel weights underflowed for {underflowed} of "
+                      f"{Q.shape[0]} queries", RuntimeWarning, stacklevel=2)
+    return out
+
+
+def _nw_blocks(XT, y, Q, s2, rows, out, a, b):
+    """nw_predict's loop over the blocks of `rows` queries from row a of Q,
+    up to row b: their estimates go to out[a:b]; returns how many of them
+    had all their unshifted weights underflow. Calls only numpy, so it may
+    run on any thread."""
+    k = np.empty((min(rows, b - a), XT.shape[1]))
+    tmp = np.empty_like(k)
     underflowed = 0
-    for start in range(0, Q.shape[0], rows):
-        q = Q[start:start + rows]
+    for start in range(a, b, rows):
+        q = Q[start:min(start + rows, b)]
         kb, tb = k[:q.shape[0]], tmp[:q.shape[0]]
         kb.fill(0.0)
-        for j in range(d):  # kb = squared distances
+        for j in range(XT.shape[0]):  # kb = squared distances
             np.subtract(XT[j], q[:, j:j + 1], out=tb)
             tb *= tb
             kb += tb
@@ -62,10 +103,7 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
         kb /= -s2
         np.exp(kb, out=kb)
         out[start:start + q.shape[0]] = (kb @ y) / kb.sum(axis=1)
-    if underflowed:
-        warnings.warn(f"all kernel weights underflowed for {underflowed} of "
-                      f"{Q.shape[0]} queries", RuntimeWarning, stacklevel=2)
-    return out
+    return underflowed
 
 
 def nw_estimate(train, x, config: KernelConfig) -> float:

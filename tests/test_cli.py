@@ -2,13 +2,19 @@
 errors, config parsing, the train/calibrate/predict/eval pipeline, and
 demo reproducibility."""
 
+import concurrent.futures
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quantpred
 from quantpred import cli, conformal, kernel, qnn
@@ -116,6 +122,84 @@ class TestIngestFeatures:
         X, header = ingest_features(p)
         assert header == ("a", "b")
         assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def per_cell_ingest(path):
+    """ingest_features as one loop of float() over every cell, the way it
+    was before the bulk conversion: (array, header), or CLIError."""
+    if not os.path.exists(path):
+        raise CLIError(f"file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CLIError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not header or any(not h.strip() for h in header):
+        raise CLIError(f"{path}: malformed header row")
+    header = tuple(h.strip() for h in header)
+    if not rows:
+        raise CLIError(f"{path}: no data rows")
+    data = np.empty((len(rows), len(header)))
+    for r, row in enumerate(rows, start=2):  # header is line 1
+        if len(row) != len(header):
+            raise CLIError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
+        for c, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise CLIError(
+                    f"{path}:{r}: column {header[c]!r}: non-numeric cell {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise CLIError(
+                    f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
+                )
+            data[r - 2, c] = v
+    return data, header
+
+
+def ingested(ingest, path):
+    """What ingest makes of path: the error text, or the array's shape,
+    dtype, bytes and the header."""
+    try:
+        data, header = ingest(path)
+    except CLIError as exc:
+        return str(exc)
+    return data.shape, data.dtype, data.tobytes(), header
+
+
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# cells float() reads in unusual ways or rejects, and any short text but NUL
+CELL = st.one_of(
+    NUMBER,
+    st.sampled_from(["", " 2 ", "1_0", "1__0", "0x10", "١٢", "١.٥", "\u20031",
+                     "\t2\n", "-0", "5e-324", "1e-400", "1e400", "-inf", "nan",
+                     "NaN(1)", "infinity", "+.5", "1e1_0", "abc", "1,5"]),
+    st.text(st.characters(exclude_characters="\x00"), max_size=4),
+)
+# a few rows of x,y: pairs of numbers, or 1 to 3 of any of those cells
+EDGE_ROWS = st.lists(st.one_of(st.lists(NUMBER, min_size=2, max_size=2),
+                               st.lists(CELL, min_size=1, max_size=3)),
+                     min_size=1, max_size=6)
+
+
+class TestBulkIngest:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=EDGE_ROWS, before=st.integers(0, 4))
+    @example(rows=[["1", "2"], ["nan", "1"]], before=1)
+    @example(rows=[["1_0", "2"], ["1", "2", "3"]], before=1)
+    @example(rows=[["1", "2"], ["1", "x"]], before=0)  # error on line 1027
+    def test_matches_per_cell_loop(self, rows, before):
+        # valid rows, then `rows`, of which the first `before` end the first
+        # chunk of the bulk conversion and the others start the next
+        valid = [[repr(i / 7), str(-i)] for i in range(cli._CHUNK_ROWS - before)]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "d.csv")
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([["x", "y"], *valid, *rows])
+            assert ingested(ingest_features, path) == ingested(per_cell_ingest, path)
 
 
 class TestConfig:
@@ -448,6 +532,64 @@ class TestErrorSurface:
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "alpha" in lines[0]
+
+    @pytest.mark.parametrize("case", ["not-utf8", "directory", "long-cell"])
+    def test_unreadable_data_file(self, tmp_path, capsys, case):
+        path = tmp_path / "d.csv"
+        if case == "not-utf8":
+            path.write_bytes(b"x,y\n1,2\n\xff,3\n")
+            expected = f"error: {path}: not UTF-8 text"
+        elif case == "directory":
+            path.mkdir()
+            expected = f"error: {path}: Is a directory"
+        else:  # longer than csv's field size limit
+            write(path, "x,y\n1,2\n3," + "4" * 131073 + "\n")
+            expected = f"error: {path}:3: field larger than field limit (131072)"
+        rc = main(["train", "--data", str(path), "--target", "y",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+
+    @pytest.mark.parametrize("command", ["train", "demo"])
+    def test_out_names_a_file(self, tmp_path, capsys, command):
+        out = write(tmp_path / "o", "")
+        argv = (["demo", "normal-normal"] if command == "demo" else
+                ["train", "--data", make_data_csv(tmp_path / "d.csv", 30),
+                 "--target", "y", "--config",
+                 write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n")])
+        assert main(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {out}: File exists"]
+
+    def test_config_names_a_directory(self, tmp_path, capsys):
+        data = make_data_csv(tmp_path / "d.csv", 30)
+        rc = main(["train", "--data", data, "--target", "y",
+                   "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
+
+    def test_kernel_errstate_on_threads(self, tmp_path, capsys, monkeypatch):
+        # a bandwidth whose square underflows to 0, with NW on two threads
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(kernel, "_BLOCK", 64)
+        monkeypatch.setattr(kernel, "_THREADED", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        train = make_data_csv(tmp_path / "train.csv", 40)
+        conf = write(tmp_path / "c.ini", "[eval]\nbandwidth = 1e-200\n")
+        rc = main(["eval", "--method", "kernel", "--train-data", train,
+                   "--data", make_data_csv(tmp_path / "test.csv", 200, seed=1),
+                   "--target", "y", "--config", conf, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: divide by zero encountered in divide: input values or "
+            "settings too large for float arithmetic"]
+        assert pools == [2]
 
     @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
     def test_kernel_alpha_checked_before_nw(self, pipeline, tmp_path, capsys,

@@ -57,6 +57,39 @@ class TestEstimationRatio:
         assert large.se < small.se
 
 
+def whole_matrix_stats(stream, config):
+    """The per-replication medians and means, and the next draw of m
+    normals, with the m x n matrix drawn at once."""
+    rng = RandomSource(config.seed).stream(stream)
+    draws = rng.standard_normal((config.m_replications, config.n))
+    x_new = rng.standard_normal(config.m_replications)
+    return np.median(draws, axis=1), draws.mean(axis=1), x_new
+
+
+class TestChunkedDraws:
+    CONFIG = EfronConfig(n=11, m_replications=50, seed=3)
+
+    def test_chunks_hold_whole_rows_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", 7 * 11 + 3)
+        rng = RandomSource(0).stream("chunks")
+        shapes = [d.shape for d in experiments._normal_rows(rng, 50, 11)]
+        assert shapes == [(7, 11)] * 7 + [(1, 11)]
+        # a row longer than the cap is one chunk
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", 5)
+        assert [d.shape for d in experiments._normal_rows(rng, 2, 11)] == [(1, 11)] * 2
+
+    @pytest.mark.parametrize("cap", [7 * 11, 11, 10_000_000])
+    def test_ratios_match_whole_matrix(self, monkeypatch, cap):
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", cap)
+        med, mean, _ = whole_matrix_stats("efron-estimation", self.CONFIG)
+        assert efron_estimation_ratio(self.CONFIG) == experiments._ratio_with_se(
+            med ** 2, mean ** 2)
+        med, mean, x_new = whole_matrix_stats("efron-prediction", self.CONFIG)
+        mc = experiments._ratio_with_se((med - x_new) ** 2, (mean - x_new) ** 2)
+        res = efron_prediction_ratio(self.CONFIG, oracle_replications=40)
+        assert (res.ratio, res.se) == (mc.ratio, mc.se)
+
+
 class TestMedianVarianceOracle:
     def test_n_one_is_unit_variance(self):
         v, se = median_variance_factor(1, replications=40_000)

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -109,3 +112,79 @@ class TestNWPredict:
     def test_query_width_must_match(self):
         with pytest.raises(DomainError):
             nw_predict(make_train(1), [[0.0, 0.0, 0.0]], KernelConfig(1.0))
+
+
+def set_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """nw_predict on threads from 2 kernel values on; the sizes of the
+    thread pools it makes."""
+    made = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(kernel, "_THREADED", 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return made
+
+
+class TestNWPredictThreads:
+    @pytest.mark.parametrize("n, m", [
+        (30, 5000),  # 3 blocks of 2184 queries, the last one short
+        (1000, 1000),  # 16 blocks of 65 queries, the last one short
+        (kernel._BLOCK + 7, 5),  # one query per block
+    ])
+    def test_same_bits_on_any_cpu_count(self, pools, monkeypatch, n, m):
+        rng = RandomSource(12).stream("nw-threads")
+        train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
+        Xq = rng.uniform(-2, 2, (m, 3))
+        cfg = KernelConfig(0.4)
+        set_cpus(monkeypatch, 1)
+        serial = nw_predict(train, Xq, cfg)
+        assert pools == []
+        # 8 threads, likely more than there are cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (2, 3, 8):
+                set_cpus(monkeypatch, k)
+                assert nw_predict(train, Xq, cfg).tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = -(-m // max(1, kernel._BLOCK // n))
+        assert pools == [min(k, blocks) for k in (2, 3, 8)]
+
+    def test_below_threshold_stays_serial(self, pools, monkeypatch):
+        monkeypatch.setattr(kernel, "_THREADED", 30 * 5000 + 1)
+        set_cpus(monkeypatch, 2)
+        nw_predict(make_train(2, n=30), np.zeros((5000, 2)), KernelConfig(1.0))
+        assert pools == []
+
+    def test_callers_errstate_holds_on_threads(self, pools, monkeypatch):
+        train = Dataset([[0.0], [1.0]], [1.0, 2.0])
+        Xq = np.linspace(0.1, 0.9, 2 * kernel._BLOCK)[:, None]
+        set_cpus(monkeypatch, 2)
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                nw_predict(train, Xq, KernelConfig(1e-200))
+        assert pools == [2]
+
+    def test_one_warning_counts_every_chunk(self, pools, monkeypatch):
+        # blocks of 2 queries, chunks of 4; the far queries fall in both chunks
+        n = kernel._BLOCK // 2
+        train = Dataset(np.full((n, 2), 0.5), np.full(n, 4.0))
+        Xq = np.array([[100.0, 0.0], [0.5, 0.6], [0.4, 0.5], [0.0, -90.0], [200.0, 1.0]])
+        set_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = nw_predict(train, Xq, KernelConfig(1.0))
+        assert [str(w.message) for w in seen] == [
+            "all kernel weights underflowed for 3 of 5 queries"]
+        assert seen[0].category is RuntimeWarning and seen[0].filename == __file__
+        assert got.tolist() == [4.0] * 5 and pools == [2]
