@@ -29,7 +29,8 @@ class CLIError(Exception):
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-# rows per bulk float conversion in ingest_features
+# rows per bulk float conversion in ingest_features, and per block of
+# predictions.csv rows converted to Python floats
 _CHUNK_ROWS = 1024
 
 
@@ -264,16 +265,19 @@ def cmd_predict(args, cfg):
     levels = (_parse_taus(cfg["taus"]).levels if cfg["taus"]
               else (net.grid.levels if net.grid is not None
                     else np.array([alpha / 2, 0.5, 1 - alpha / 2])))
-    cols = [net.quantiles_at(X, levels)]
+    # one network pass gives the quantile columns and the interval's two
+    q = net.quantiles_at(X, levels, None if cal is None else alpha)
     names = ["row"] + [f"q{fmt(t)}" for t in levels]
     if cal is not None:
-        lo, hi = qnn.predict_intervals(net, X, alpha)
-        cols += conformal.conformalize(lo, hi, cal.qhat)
+        q[:, -2], q[:, -1] = conformal.conformalize(q[:, -2], q[:, -1], cal.qhat)
         names += ["lower", "upper"]
 
     os.makedirs(args.out, exist_ok=True)
+    # Python floats for one block of rows at a time, not for the whole table
+    rows = itertools.chain.from_iterable(
+        q[start:start + _CHUNK_ROWS].tolist() for start in range(0, len(q), _CHUNK_ROWS))
     write_csv(os.path.join(args.out, "predictions.csv"), names,
-              ([i, *row] for i, row in enumerate(np.column_stack(cols).tolist())))
+              ([i, *row] for i, row in enumerate(rows)))
 
 
 def cmd_eval(args, cfg):
@@ -405,11 +409,25 @@ def build_parser():
     return p
 
 
+def _check_out(out):
+    """Reject an --out that os.makedirs could not make a directory, with
+    the text its error would have, before the command does any work."""
+    top = out.rstrip(os.sep) or out
+    path, below = top, None
+    while path and not os.path.exists(path):
+        path, below = os.path.dirname(path), path
+    if path and not os.path.isdir(path):
+        # os.makedirs names --out as given, a trailing separator included
+        name = out if below in (None, top) else below
+        raise CLIError(f"{name}: " + ("File exists" if below is None else "Not a directory"))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _settings(args)
+        _check_out(args.out)
         # an overflow or invalid operation would put inf or NaN in the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.func(args, cfg)

@@ -16,6 +16,9 @@ import numpy as np
 from .numerics import DomainError, RandomSource, check_alpha
 
 FORMAT_TAG = "qnet-v1"
+# values of the widest layer per row block of a full-data pass: 512 KB per
+# layer array, so the work arrays stay in cache (1024 rows at width 64)
+_BLOCK = 2 ** 16
 
 
 class TrainingError(RuntimeError):
@@ -250,25 +253,52 @@ class QuantileNetwork:
         i = np.arange(self.embedding_dim)
         return np.cos(np.pi * np.outer(np.asarray(taus, dtype=float), i))
 
-    def forward_batch(self, X, taus=None):
-        """Predicted quantiles, one row per input, one column per level."""
+    def _inputs(self, X):
+        """X as a 2-D float array, which must have the model's feature count."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.layer_dims[0]:
             raise DomainError(
                 f"model expects {self.layer_dims[0]} features, got {X.shape[1]}"
             )
+        return X
+
+    def forward_batch(self, X, taus=None):
+        """Predicted quantiles, one row per input, one column per level."""
+        X = self._inputs(X)
         if self.head == "implicit" and taus is None:
             raise DomainError("implicit mode requires explicit levels")
-        return _forward(self, X, taus)[0]
+        return _predict(self, X, taus)
 
-    def quantiles_at(self, X, levels):
-        """Predictions at specific levels; multi-head requires grid membership."""
+    def quantiles_at(self, X, levels, alpha=None):
+        """Predictions at specific levels; multi-head requires grid membership.
+
+        With alpha, two more columns follow from the same network pass: the
+        central interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]. Penalty-mode
+        nets may cross, so each pair is ordered. An off-grid level is
+        reported before a bad alpha, and both before the pass runs.
+        """
+        X = self._inputs(X)
         levels = np.asarray(levels, dtype=float).ravel()
+        cols = self._columns(levels)
+        if alpha is not None:
+            check_alpha(alpha)
+            bounds = [alpha / 2, 1 - alpha / 2]
+            levels = np.append(levels, bounds)
+            cols += self._columns(bounds)
         if self.head == "implicit":
-            return self.forward_batch(X, levels)
-        q = self.forward_batch(X)
-        idx = [self.grid.index_of(t) for t in levels]
-        return q[:, idx]
+            q = self.forward_batch(X, levels)
+        else:
+            q = self.forward_batch(X)[:, cols]
+        if alpha is not None:
+            lo, hi = np.minimum(q[:, -2], q[:, -1]), np.maximum(q[:, -2], q[:, -1])
+            q[:, -2], q[:, -1] = lo, hi
+        return q
+
+    def _columns(self, levels):
+        """The grid column of each level; the implicit head takes any level."""
+        if self.head == "implicit":
+            return []
+        return [self.grid.index_of(t) for t in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +331,20 @@ def _forward(net: QuantileNetwork, X, levels):
         if raw.shape[1] > 1:
             q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
     return q, (zs, activations, raw, W, cos_feat, phi)
+
+
+def _predict(net: QuantileNetwork, X, levels):
+    """The quantiles _forward gives for the rows of X, computed in blocks of
+    _BLOCK values of the widest layer, so a full-data pass holds one
+    block's work arrays, not n rows of each. An input of one block or less
+    is a single _forward call."""
+    n, rows = X.shape[0], max(1, _BLOCK // max(net.layer_dims[1:]))
+    if n <= rows:
+        return _forward(net, X, levels)[0]
+    out = np.empty((n, net.layer_dims[-1] if net.head == "multi" else np.size(levels)))
+    for start in range(0, n, rows):
+        out[start:start + rows] = _forward(net, X[start:start + rows], levels)[0]
+    return out
 
 
 def _loss(net: QuantileNetwork, q, y, levels, kappa):
@@ -382,8 +426,9 @@ class _Rows(NamedTuple):
 
 
 def _full_loss(net, data, levels, kappa):
-    """The training loss over all of data: a forward pass, no gradients."""
-    q, _ = _forward(net, data.features, levels)
+    """The training loss over all of data: a blocked forward pass, no
+    gradients, and one mean over every row."""
+    q = _predict(net, data.features, levels)
     return _loss(net, q, data.targets, levels, kappa)[0]
 
 
@@ -449,9 +494,9 @@ def predict_intervals(net: QuantileNetwork, X, alpha):
     """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
     one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
     each pair is ordered."""
-    check_alpha(alpha)
-    q = net.quantiles_at(X, [alpha / 2, 1 - alpha / 2])
-    return np.minimum(q[:, 0], q[:, 1]), np.maximum(q[:, 0], q[:, 1])
+    check_alpha(alpha)  # a bad alpha first, before a feature-count mismatch
+    q = net.quantiles_at(X, [], alpha)
+    return q[:, 0], q[:, 1]
 
 
 def predict_interval(net: QuantileNetwork, x, alpha):

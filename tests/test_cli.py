@@ -373,6 +373,24 @@ class TestPipeline:
         assert np.array_equal(lower, q05 - qhat)
         assert np.array_equal(upper, q95 + qhat)
 
+    def test_predict_runs_one_network_pass(self, pipeline, tmp_path, monkeypatch):
+        # the quantile and interval columns come from one pass, in blocks of
+        # 16 rows at the model's width of 8
+        rows = []
+        forward = qnn._forward
+
+        def counting(net, X, levels):
+            rows.append(X.shape[0])
+            return forward(net, X, levels)
+
+        monkeypatch.setattr(qnn, "_forward", counting)
+        monkeypatch.setattr(qnn, "_BLOCK", 16 * 8)
+        assert main(["predict", "--model", pipeline["model"],
+                     "--data", pipeline["test_csv"], "--target", "y",
+                     "--calibration", pipeline["calibration"],
+                     "--out", str(tmp_path / "pred")]) == 0
+        assert rows == [16] * 7 + [8]
+
     def test_eval_qnn_calibrated(self, pipeline, tmp_path):
         out = tmp_path / "eval"
         assert main(["eval", "--model", pipeline["model"],
@@ -550,15 +568,45 @@ class TestErrorSurface:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [expected]
 
-    @pytest.mark.parametrize("command", ["train", "demo"])
-    def test_out_names_a_file(self, tmp_path, capsys, command):
+    def _never_started(self, monkeypatch):
+        """Make training and NW fail the test if a command starts them."""
+        def never(*args):
+            raise AssertionError("the command started its work")
+        monkeypatch.setattr(qnn, "train", never)
+        monkeypatch.setattr(kernel, "nw_predict", never)
+
+    def _argv(self, tmp_path, command):
+        data = make_data_csv(tmp_path / "d.csv", 30)
+        return {
+            "demo": ["demo", "normal-normal"],
+            "train": ["train", "--data", data, "--target", "y", "--config",
+                      write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n")],
+            "eval-kernel": ["eval", "--method", "kernel", "--train-data", data,
+                            "--data", data, "--target", "y"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["train", "eval-kernel", "demo"])
+    def test_out_names_a_file(self, tmp_path, capsys, monkeypatch, command):
+        # reported before any training or NW work
+        self._never_started(monkeypatch)
         out = write(tmp_path / "o", "")
-        argv = (["demo", "normal-normal"] if command == "demo" else
-                ["train", "--data", make_data_csv(tmp_path / "d.csv", 30),
-                 "--target", "y", "--config",
-                 write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n")])
-        assert main(argv + ["--out", out]) == 1
+        assert main(self._argv(tmp_path, command) + ["--out", out]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {out}: File exists"]
+
+    @pytest.mark.parametrize("below", ["/", "/o", "/o/", "/sub/o"])
+    @pytest.mark.parametrize("command", ["train", "eval-kernel"])
+    def test_out_through_a_file(self, tmp_path, capsys, monkeypatch, command, below):
+        # the text os.makedirs gives, before any work, and nothing is created
+        self._never_started(monkeypatch)
+        out = write(tmp_path / "f", "") + below
+        with pytest.raises(OSError) as made:
+            os.makedirs(out, exist_ok=True)
+        argv = self._argv(tmp_path, command) + ["--out", out]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {made.value.filename}: {made.value.strerror}"]
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_config_names_a_directory(self, tmp_path, capsys):
         data = make_data_csv(tmp_path / "d.csv", 30)
@@ -711,6 +759,27 @@ class TestArtifactErrors:
                          alpha=alpha) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "0.1" in err and "0.5" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("taus, alpha, message", [
+        ("0.3", "0.1", "level 0.3 not on the grid"),
+        # an off-grid level is reported before a bad alpha, and a bad alpha
+        # before its off-grid interval levels
+        ("0.3", "1.5", "level 0.3 not on the grid"),
+        ("0.5", "1.5", "alpha must lie strictly inside (0, 1)"),
+        ("0.5", "3.0", "alpha must lie strictly inside (0, 1)"),
+        ("0.5", "0.3", "level 0.15 not on the grid"),
+    ])
+    def test_predict_level_errors(self, pipeline, tmp_path, capsys, taus, alpha,
+                                  message):
+        cal = self._edited(pipeline["calibration"], tmp_path / "cal.txt",
+                           lambda t: t.replace("alpha=0.1", f"alpha={alpha}"))
+        rc = main(["predict", "--model", pipeline["model"], "--data", pipeline["test_csv"],
+                   "--target", "y", "--calibration", cal, "--alpha", alpha,
+                   "--taus", taus, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        suffix = "; available: [0.05, 0.5, 0.95]" if message.startswith("level") else ""
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}{suffix}"]
         assert not (tmp_path / "o").exists()
 
 

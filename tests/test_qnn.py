@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,80 @@ class TestForward:
     def test_implicit_increments_rejected(self):
         with pytest.raises(DomainError):
             QuantileNetwork([1, 4, 1], head="implicit", monotone="increments")
+
+
+def whole_array_full_loss(net, data, levels, kappa):
+    """qnn._full_loss as one _forward call over every row: the reference
+    for the blocked pass."""
+    q, _ = qnn._forward(net, data.features, levels)
+    return qnn._loss(net, q, data.targets, levels, kappa)[0]
+
+
+def close_to(got, ref):
+    """Equal within 1e-12 * max(1, |ref|): a block's matrix products may
+    round differently in the last bits from the whole array's."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and bool(
+        np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))))
+
+
+class TestBlockedPass:
+    ROWS = qnn._BLOCK // 64  # the block of a net whose widest layer is 64
+
+    def _net(self, head, monotone, activation):
+        if head == "multi":
+            net = QuantileNetwork([4, 64, 48, 5],
+                                  grid=QuantileGrid([0.05, 0.25, 0.5, 0.75, 0.95]),
+                                  activation=activation, monotone=monotone, seed=11)
+        else:
+            net = QuantileNetwork([4, 64, 1], head="implicit", embedding_dim=8,
+                                  activation=activation, monotone=monotone, seed=11)
+        net.set_standardization([0.1, -0.2, 0.3, 0.0], [1.5, 0.5, 2.0, 1.0])
+        return net
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("head, monotone", [
+        ("multi", "increments"), ("multi", "penalty"), ("implicit", "penalty")])
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 17])
+    def test_matches_the_whole_array_forward(self, head, monotone, activation, n):
+        net = self._net(head, monotone, activation)
+        X = RandomSource(n).stream("rows").uniform(-2.0, 2.0, (n, 4))
+        levels = np.array([0.1, 0.5, 0.9])
+        got = qnn._predict(net, X, levels)
+        ref = qnn._forward(net, X, levels)[0]
+        if n <= self.ROWS:  # one block is one _forward call
+            assert np.array_equal(got, ref)
+        assert close_to(got, ref)
+
+    def test_full_data_passes_hold_one_block(self):
+        # the whole-array pass peaked at 42.6 MB (forward_batch) and 43.6 MB
+        # (_full_loss) here: four 20000 x 64 arrays and a matmul temporary
+        grid = QuantileGrid([0.05, 0.25, 0.5, 0.75, 0.95])
+        net = QuantileNetwork([4, 64, 64, 5], grid=grid, seed=0)
+        rng = RandomSource(2).stream("rows")
+        data = Dataset(rng.uniform(-2.0, 2.0, (20000, 4)), rng.standard_normal(20000))
+        for run in (lambda: net.forward_batch(data.features),
+                    lambda: qnn._full_loss(net, data, grid.levels, 0.0)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_train_trace_matches_the_whole_array_loss(self, monkeypatch, kappa):
+        grid = QuantileGrid([0.1, 0.5, 0.9])
+        data = make_dataset(4, n=2 * self.ROWS + 300, d=4)
+        config = TrainingConfig(epochs=2, batch_size=256, huber_kappa=kappa, seed=1)
+        net, trace = train(QuantileNetwork([4, 64, 32, 3], grid=grid, seed=3),
+                           data, grid, config)
+        monkeypatch.setattr(qnn, "_full_loss", whole_array_full_loss)
+        ref_net, ref = train(QuantileNetwork([4, 64, 32, 3], grid=grid, seed=3),
+                             data, grid, config)
+        assert close_to(trace, ref)
+        assert np.array_equal(net.theta, ref_net.theta)
 
 
 class TestLossAndGradient:
@@ -507,6 +582,32 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
         with pytest.raises(DomainError, match="alpha"):
             predict_intervals(net, [[0.0]], alpha)
+
+    @pytest.mark.parametrize("head", ["multi", "implicit"])
+    def test_levels_and_interval_from_one_pass(self, head):
+        if head == "multi":
+            net = QuantileNetwork([1, 3], grid=QuantileGrid([0.05, 0.5, 0.95]),
+                                  monotone="penalty", seed=9)
+            net.weights[0][...] = [[1.0, 0.0, -1.0]]  # q0.05 > q0.95 at x > 0
+        else:
+            net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
+                                  monotone="penalty", seed=2)
+        X = np.array([[-1.0], [0.0], [2.0]])
+        q = net.quantiles_at(X, [0.5, 0.95], 0.1)
+        lo, hi = predict_intervals(net, X, 0.1)
+        assert np.array_equal(q, np.column_stack([net.quantiles_at(X, [0.5, 0.95]),
+                                                  lo, hi]))
+
+    @pytest.mark.parametrize("levels, alpha, message", [
+        ([0.3], 1.5, "level 0.3 not on the grid"),
+        ([0.5], 3.0, "alpha must lie"),
+        ([0.5], 0.3, "level 0.15 not on the grid"),
+    ])
+    def test_quantiles_at_checks_in_order(self, levels, alpha, message):
+        grid = QuantileGrid([0.05, 0.5, 0.95])
+        net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
+        with pytest.raises(DomainError, match=message):
+            net.quantiles_at([[0.0]], levels, alpha)
 
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
