@@ -99,6 +99,12 @@ def ingest_csv(path, target_column) -> qnn.Dataset:
     return qnn.Dataset(data[:, keep], data[:, header.index(target_column)])
 
 
+def _feature_names(path, target_column):
+    """The header of the csv at path, in order, without the target column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [h.strip() for h in next(csv.reader(fh)) if h.strip() != target_column]
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -299,6 +305,10 @@ def cmd_eval(args, cfg):
         if train.n < 2:
             raise CLIError(f"{args.train_data}: eval with method kernel needs at "
                            "least 2 rows, to fit and to calibrate")
+        fit, test = (_feature_names(p, args.target) for p in (args.train_data, args.data))
+        if fit != test:  # NW pairs the columns by position
+            raise CLIError(f"{args.data}: feature columns {test} differ from "
+                           f"{args.train_data}'s {fit}")
         # even rows fit the estimator, odd rows calibrate its half-width
         X, y = train.features, train.targets
         lo, hi = kernel.nw_intervals(

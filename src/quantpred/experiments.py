@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, conformal, kernel, qnn
-from .numerics import DomainError, RandomSource, check_alpha, normal_pdf, normal_cdf
+from .numerics import DomainError, RandomSource, check_alpha, normal_pdf, normal_cdf, parallel_map
 
 
 def fmt(v):
@@ -330,43 +330,16 @@ def _replication(config: CoverageBenchConfig, rep):
             *(probe_hi - probe_lo).tolist())
 
 
-def _replication_under(err, config, rep):
-    """_replication with floating-point errors handled as err (np.geterr())."""
-    with np.errstate(**err):
-        return _replication(config, rep)
-
-
-def _map_replications(job, replications):
-    """[job(rep) for rep in range(replications)], in that order, with the
-    replications spread over one forked worker per available CPU, and no
-    more workers than replications."""
-    import multiprocessing
-
-    workers = 1
-    if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
-        workers = min(len(os.sched_getaffinity(0)), replications)
-    if workers == 1:
-        return list(map(job, range(replications)))
-    import concurrent.futures
-
-    # fork, not spawn: a worker starts with numpy, scipy and quantpred already
-    # imported, instead of paying for their import again
-    with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(job, range(replications)))
-
-
 def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
     """Coverage and width of uncalibrated QNN intervals, CQR-calibrated
     intervals, and a fixed-width Nadaraya-Watson baseline, averaged over
     seeded replications. Every replication trains the same network (one
     hidden layer of 32 units, Adam at learning rate 0.02 on batches of
     128) and fits NW at bandwidth 0.3. The replications run in forked
-    workers; the result does not depend on how many."""
-    # the caller's errstate (cli.main raises on overflow) goes to each job
-    # explicitly, so an overflowing replication counts as a failure
-    results = _map_replications(
-        functools.partial(_replication_under, np.geterr(), config), config.replications)
+    workers, under the caller's errstate (an overflow under cli.main fails
+    its replication); the result does not depend on how many."""
+    results = parallel_map(functools.partial(_replication, config),
+                           range(config.replications), processes=True)
     done = [r for r in results if r is not None]
     if not done:
         return BenchResult([], {}, len(results))

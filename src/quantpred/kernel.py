@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import conformal
-from .numerics import DomainError, check_alpha
+from .numerics import DomainError, check_alpha, cpus, parallel_map
 
 # smallest positive normal double; below this every weight has underflowed
 _TINY = np.finfo(float).tiny
@@ -42,9 +40,9 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     bandwidth gives the nearest target, the formula's limit. Queries whose
     unshifted weights would all underflow trigger a RuntimeWarning.
 
-    From _THREADED kernel values on, runs of whole blocks go to one thread
-    per available CPU; every block holds the queries of the serial loop, so
-    the estimates have the same bits on any number of CPUs.
+    From _THREADED kernel values on, the blocks go in one run per available
+    CPU to threads of parallel_map; every block holds the queries of the
+    serial loop, so the estimates have the same bits on any number of CPUs.
     """
     X, y = train.features, train.targets
     n, d = X.shape
@@ -57,24 +55,12 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     XT = np.ascontiguousarray(X.T)
     rows = max(1, _BLOCK // n)
     out = np.empty(Q.shape[0])
-    blocks = -(-Q.shape[0] // rows)
-    workers = 1
-    if n * Q.shape[0] >= _THREADED and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), blocks)
-    if workers == 1:
-        underflowed = _nw_blocks(XT, y, Q, s2, rows, out, 0, Q.shape[0])
-    else:
-        # threads start with numpy's default error state, so each chunk
-        # runs under the caller's (cli.main raises on overflow)
-        per = -(-blocks // workers) * rows
-        err = np.geterr()
-
-        def chunk(a):
-            with np.errstate(**err):
-                return _nw_blocks(XT, y, Q, s2, rows, out, a, min(a + per, Q.shape[0]))
-
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            underflowed = sum(pool.map(chunk, range(0, Q.shape[0], per)))
+    blocks = max(1, -(-Q.shape[0] // rows))  # no queries make one empty block
+    runs = min(cpus(), blocks) if n * Q.shape[0] >= _THREADED else 1
+    per = -(-blocks // runs) * rows
+    underflowed = sum(parallel_map(
+        lambda a: _nw_blocks(XT, y, Q, s2, rows, out, a, min(a + per, Q.shape[0])),
+        range(0, Q.shape[0], per)))
     if underflowed:
         warnings.warn(f"all kernel weights underflowed for {underflowed} of "
                       f"{Q.shape[0]} queries", RuntimeWarning, stacklevel=2)

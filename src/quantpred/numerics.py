@@ -1,10 +1,12 @@
 """Shared deterministic numerics: normal distribution functions, empirical
-CDF/quantile machinery, the probability integral transform, and a seeded
-random source."""
+CDF/quantile machinery, the probability integral transform, a seeded
+random source, and the one parallel map."""
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import zlib
 from dataclasses import dataclass
 
@@ -175,3 +177,40 @@ class RandomSource:
         key = zlib.crc32(_STREAM_SALT + name.encode("utf-8"))
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(key,))
         return np.random.Generator(np.random.PCG64(ss))
+
+
+# ---------------------------------------------------------------------------
+# Parallel map
+# ---------------------------------------------------------------------------
+
+def cpus():
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _under(err, job, item):
+    """job(item) with floating-point errors handled as err (np.geterr())."""
+    with np.errstate(**err):
+        return job(item)
+
+
+def parallel_map(job, items, processes=False):
+    """[job(x) for x in items], in that order, on one worker per available
+    CPU and no more workers than items: threads, or forked processes if
+    processes is true. Each job runs under the caller's numpy error state,
+    which a new thread does not inherit. One worker, no CPU affinity, or no
+    fork start method for processes means the builtin map, on this thread.
+    """
+    import concurrent.futures
+    import multiprocessing
+
+    items = list(items)
+    workers = min(cpus(), len(items))
+    if workers <= 1 or processes and "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(job, items))
+    # fork, not spawn: a worker starts with numpy and quantpred already imported
+    pool = (concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork")) if processes
+        else concurrent.futures.ThreadPoolExecutor(workers))
+    with pool:
+        return list(pool.map(functools.partial(_under, np.geterr(), job), items))

@@ -241,13 +241,10 @@ class QuantileNetwork:
         """Hidden stack up to (and excluding) the final linear layer."""
         act, _ = _ACT[self.activation]
         zs, activations = [], [X]
-        a = X
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ W + b
-            a = act(z)
-            zs.append(z)
-            activations.append(a)
-        return a, zs, activations
+            zs.append(activations[-1] @ W + b)
+            activations.append(act(zs[-1]))
+        return activations[-1], zs, activations
 
     def _cosine_features(self, taus):
         i = np.arange(self.embedding_dim)
@@ -328,19 +325,15 @@ def _forward(net: QuantileNetwork, X, levels):
     if net.monotone == "increments":
         q = np.empty_like(raw)
         q[:, 0] = raw[:, 0]
-        if raw.shape[1] > 1:
-            q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
+        q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
     return q, (zs, activations, raw, W, cos_feat, phi)
 
 
 def _predict(net: QuantileNetwork, X, levels):
     """The quantiles _forward gives for the rows of X, computed in blocks of
     _BLOCK values of the widest layer, so a full-data pass holds one
-    block's work arrays, not n rows of each. An input of one block or less
-    is a single _forward call."""
+    block's work arrays, not n rows of each."""
     n, rows = X.shape[0], max(1, _BLOCK // max(net.layer_dims[1:]))
-    if n <= rows:
-        return _forward(net, X, levels)[0]
     out = np.empty((n, net.layer_dims[-1] if net.head == "multi" else np.size(levels)))
     for start in range(0, n, rows):
         out[start:start + rows] = _forward(net, X[start:start + rows], levels)[0]
@@ -401,10 +394,8 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
     if net.monotone == "increments":
         # q_k = raw_0 + sum_{j<=k, j>=1} softplus(raw_j)
         tail = np.cumsum(dq[:, ::-1], axis=1)[:, ::-1]
-        draw = np.empty_like(dq)
-        draw[:, 0] = tail[:, 0]
-        if raw.shape[1] > 1:
-            draw[:, 1:] = tail[:, 1:] * _sigmoid(raw[:, 1:])
+        draw = tail.copy()
+        draw[:, 1:] *= _sigmoid(raw[:, 1:])
     grads = _trunk_backward(net, draw @ W.T, zs, activations)
     gW, gb = activations[-1].T @ draw, draw.sum(axis=0)
     if net.head == "multi":

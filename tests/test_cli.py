@@ -459,6 +459,48 @@ class TestPipeline:
         assert rc == 1
         assert "requires --train-data" in capsys.readouterr().err
 
+    @staticmethod
+    def _two_feature_csv(path, names, seed):
+        """Rows (x1, x2, y) with y = x1 + noise, in the column order of names;
+        a column named z holds x2."""
+        rng = RandomSource(seed).stream("cli-two-features")
+        x = rng.uniform(-2.0, 2.0, (60, 2))
+        cols = {"x1": x[:, 0], "x2": x[:, 1], "z": x[:, 1],
+                "y": x[:, 0] + 0.1 * rng.standard_normal(60)}
+        rows = [",".join(names)] + [",".join(repr(float(cols[c][i])) for c in names)
+                                    for i in range(60)]
+        return write(path, "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("names, shown", [
+        (("x2", "x1", "y"), "['x2', 'x1']"),  # the same columns, swapped
+        (("x1", "z", "y"), "['x1', 'z']"),  # a renamed column
+    ])
+    def test_eval_kernel_rejects_other_feature_columns(self, tmp_path, capsys,
+                                                       monkeypatch, names, shown):
+        calls = []
+        monkeypatch.setattr(kernel, "nw_predict", lambda *a: calls.append(a))
+        train = self._two_feature_csv(tmp_path / "train.csv", ("x1", "x2", "y"), 1)
+        test = self._two_feature_csv(tmp_path / "test.csv", names, 2)
+        rc = main(["eval", "--method", "kernel", "--train-data", train, "--data", test,
+                   "--target", "y", "--out", str(tmp_path / "e")])
+        assert rc == 1 and calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {test}: feature columns {shown} differ from "
+            f"{train}'s ['x1', 'x2']"]
+        assert not (tmp_path / "e" / "eval.csv").exists()
+
+    def test_eval_kernel_finds_the_target_anywhere(self, tmp_path):
+        # only the features' order must agree; the target may sit elsewhere
+        train = self._two_feature_csv(tmp_path / "train.csv", ("x1", "x2", "y"), 1)
+        out = {}
+        for where, names in (("last", ("x1", "x2", "y")), ("first", ("y", "x1", "x2"))):
+            test = self._two_feature_csv(tmp_path / f"{where}.csv", names, 2)
+            assert main(["eval", "--method", "kernel", "--train-data", train,
+                         "--data", test, "--target", "y",
+                         "--out", str(tmp_path / where)]) == 0
+            out[where] = (tmp_path / where / "eval.csv").read_bytes()
+        assert out["first"] == out["last"]
+
     @pytest.mark.parametrize("command", ["calibrate", "eval", "predict"])
     def test_predict_feature_mismatch(self, pipeline, tmp_path, capsys, command):
         # one check in the forward pass, so every command says the same

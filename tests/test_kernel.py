@@ -160,6 +160,14 @@ class TestNWPredictThreads:
         blocks = -(-m // max(1, kernel._BLOCK // n))
         assert pools == [min(k, blocks) for k in (2, 3, 8)]
 
+    @pytest.mark.parametrize("threaded", [0, 1])
+    def test_no_queries_on_the_threaded_path(self, pools, monkeypatch, threaded):
+        # no queries make one empty block, so a run is never 0 rows long
+        monkeypatch.setattr(kernel, "_THREADED", threaded)
+        set_cpus(monkeypatch, 2)
+        got = nw_predict(make_train(3), np.empty((0, 2)), KernelConfig(1.0))
+        assert got.shape == (0,) and pools == []
+
     def test_below_threshold_stays_serial(self, pools, monkeypatch):
         monkeypatch.setattr(kernel, "_THREADED", 30 * 5000 + 1)
         set_cpus(monkeypatch, 2)

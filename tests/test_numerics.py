@@ -1,3 +1,9 @@
+import concurrent.futures
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +16,7 @@ from quantpred.numerics import (
     ks_critical_value,
     normal_cdf,
     normal_quantile,
+    parallel_map,
     pit_ranks,
 )
 
@@ -188,3 +195,67 @@ class TestRandomSource:
     def test_rejects_bad_seed(self):
         with pytest.raises(DomainError):
             RandomSource(-1)
+
+
+def square_and_pid(x):
+    """x squared and the process that squared it, after a wait that is
+    longer for earlier items, so later ones tend to finish first."""
+    time.sleep(0.002 * (10 - x % 10))
+    return x * x, os.getpid()
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a pool was made")
+
+
+class TestParallelMap:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_order_with_more_items_than_cpus_on_threads(self):
+        threads = set()
+
+        def job(x):
+            threads.add(threading.get_ident())
+            return square_and_pid(x)[0]
+
+        assert parallel_map(job, range(25)) == [x * x for x in range(25)]
+        assert threading.get_ident() not in threads and len(threads) <= 2
+
+    def test_order_with_more_items_than_cpus_in_processes(self):
+        got = parallel_map(square_and_pid, range(25), processes=True)
+        assert [q for q, _ in got] == [x * x for x in range(25)]
+        pids = {pid for _, pid in got}
+        assert os.getpid() not in pids and len(pids) <= 2
+
+    def test_serial_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for processes in (False, True):
+            assert parallel_map(lambda x: (x, threading.get_ident()), [3, 1, 2],
+                                processes) == [(x, threading.get_ident()) for x in (3, 1, 2)]
+
+    def test_processes_serial_without_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # a lambda would not pickle, so a pool would fail even unpatched
+        got = parallel_map(lambda x: (x, os.getpid()), range(5), processes=True)
+        assert got == [(x, os.getpid()) for x in range(5)]
+
+    @pytest.mark.parametrize("processes", [False, True])
+    def test_no_items(self, monkeypatch, processes):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert parallel_map(no_pool, [], processes) == []
+
+    def test_threads_run_under_callers_errstate(self):
+        def job(x):
+            return np.float64(1.0) / np.float64(x)
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                parallel_map(job, [1.0, 0.0])
+        with np.errstate(divide="ignore"):
+            assert parallel_map(job, [2.0, 0.0]) == [0.5, np.inf]
