@@ -47,6 +47,8 @@ def ingest_features(path) -> tuple:
             if not header or any(not h.strip() for h in header):
                 raise CLIError(f"{path}: malformed header row")
             header = tuple(h.strip() for h in header)
+            if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
+                raise CLIError(f"{path}: duplicate column name {dup!r} in header")
             chunks, line = [], 2  # header is line 1
             while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
                 chunks.append(_parse_rows(path, header, rows, line))

@@ -6,6 +6,7 @@ on synthetic data."""
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -22,11 +23,13 @@ def fmt(v):
 
 
 def write_csv(path, header, rows):
-    """A headed CSV file, one line per row of cells."""
+    """A headed CSV file, one line per row of cells, written 1024 rows a call."""
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+        while chunk := "".join(",".join(map(fmt, r)) + "\n"
+                               for r in itertools.islice(rows, 1024)):
+            fh.write(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 
 class DomainError(ValueError):
@@ -41,6 +40,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def normal_cdf(x, mu=0.0, sigma=1.0):
     """Phi((x - mu) / sigma); accepts scalars or arrays."""
+    from scipy.special import erfc  # on first use: no CLI pipeline command needs it
+
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     z = (np.asarray(x, dtype=float) - mu) / sigma
@@ -59,6 +60,8 @@ def normal_pdf(x, mu=0.0, sigma=1.0):
 def normal_quantile(p, mu=0.0, sigma=1.0):
     """Inverse of normal_cdf; p in the open interval (0, 1), since p = 0
     or 1 would be infinite."""
+    from scipy.special import ndtri
+
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     parr = np.asarray(p, dtype=float)

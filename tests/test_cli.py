@@ -610,6 +610,21 @@ class TestErrorSurface:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [expected]
 
+    @pytest.mark.parametrize("command", ["train", "predict", "eval-kernel"])
+    def test_duplicate_column_name(self, pipeline, tmp_path, capsys, command):
+        # the first 'y' would be the target and both would leave the features
+        dup = write(tmp_path / "dup.csv", "x1,y,y\n1,2,3\n4,5,6\n7,8,9\n")
+        argv = {
+            "train": ["train", "--data", dup],
+            "predict": ["predict", "--model", pipeline["model"], "--data", dup],
+            "eval-kernel": ["eval", "--method", "kernel", "--train-data", dup, "--data", dup],
+        }[command]
+        out = tmp_path / "o"
+        assert main(argv + ["--target", "y", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dup}: duplicate column name 'y' in header"]
+        assert not out.exists()
+
     def _never_started(self, monkeypatch):
         """Make training and NW fail the test if a command starts them."""
         def never(*args):
@@ -850,3 +865,33 @@ class TestDemoCommand:
                      "--out", str(b)]) == 0
         assert ((a / "report.txt").read_text()
                 != (b / "report.txt").read_text())
+
+
+class TestColdStart:
+    def test_pipeline_commands_never_import_scipy(self, tmp_path):
+        # a fresh process, since this one may already hold scipy
+        for name, seed in (("train", 1), ("cal", 2), ("test", 3)):
+            make_data_csv(tmp_path / f"{name}.csv", 300, seed=seed)
+        write(tmp_path / "c.ini", "[train]\nepochs = 2\nhidden = 4\n")
+        script = """
+import sys
+from quantpred import cli
+steps = [
+    ["train", "--data", "train.csv", "--config", "c.ini"],
+    ["calibrate", "--model", "o/model.qnet", "--data", "cal.csv"],
+    ["predict", "--model", "o/model.qnet", "--data", "test.csv",
+     "--calibration", "o/calibration.txt"],
+    ["eval", "--model", "o/model.qnet", "--data", "test.csv",
+     "--calibration", "o/calibration.txt"],
+    ["eval", "--method", "kernel", "--train-data", "train.csv", "--data", "test.csv"],
+]
+for argv in steps:
+    assert cli.main(argv + ["--target", "y", "--out", "o"]) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main(["demo", "normal-normal", "--out", "nn"]) == 0
+assert "scipy.special" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,29 @@ class TestNormalQuantile:
             normal_quantile(p)
 
 
+class TestScipyIdentity:
+    """normal_cdf and normal_quantile import scipy on first use; the values
+    are still scipy's own, bit for bit."""
+
+    XS = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e300, -5e-324, 0.0, 5e-324, 1e300]])
+    PS = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.001, 0.999, 999),
+                         1.0 - np.logspace(-16, -1, 100)])
+
+    def test_cdf_is_erfc(self):
+        from scipy.special import erfc
+
+        expected = 0.5 * erfc(-self.XS / np.sqrt(2.0))
+        assert np.array_equal(normal_cdf(self.XS), expected)
+        assert all(normal_cdf(float(x)) == e for x, e in zip(self.XS, expected))
+
+    def test_quantile_is_ndtri(self):
+        from scipy.special import ndtri
+
+        expected = ndtri(self.PS)
+        assert np.array_equal(normal_quantile(self.PS), expected)
+        assert all(normal_quantile(float(p)) == e for p, e in zip(self.PS, expected))
+
+
 class TestEmpiricalQuantile:
     def test_middle_order_statistic(self):
         d = EmpiricalDistribution.from_samples([1, 2, 3])
