@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import analytic, conformal, experiments, kernel, qnn
-from .experiments import fmt, write_csv
-from .numerics import DomainError
+from .experiments import _CHUNK_ROWS, fmt, write_csv
+from .numerics import DomainError, check_alpha
 
 
 class CLIError(Exception):
@@ -28,11 +28,6 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
-
-# rows per bulk float conversion in ingest_features, and per block of
-# predictions.csv rows converted to Python floats
-_CHUNK_ROWS = 1024
-
 
 def ingest_features(path) -> tuple:
     """Parse a headed numeric csv into (rows as an array, header names)."""
@@ -266,6 +261,8 @@ def cmd_predict(args, cfg):
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
+    if cal is None:  # quantiles_at checks it on the interval path
+        check_alpha(alpha)
     X, header = ingest_features(args.data)
     if args.target and args.target in header:
         X = X[:, [i for i, h in enumerate(header) if h != args.target]]
@@ -289,20 +286,26 @@ def cmd_predict(args, cfg):
 
 
 def cmd_eval(args, cfg):
-    alpha = float(cfg["alpha"])
+    alpha, method = float(cfg["alpha"]), cfg["method"]
+    if method not in ("qnn", "kernel"):
+        raise CLIError(f"unknown method {method!r}")
+    # the method's own flag, and no other method's, before any file is read
+    needs, takes_no = (("model", ["train_data"]) if method == "qnn"
+                       else ("train_data", ["model", "calibration"]))
+    if not getattr(args, needs):
+        raise CLIError(f"eval with method {method} requires --{needs.replace('_', '-')}")
+    for name in takes_no:
+        if getattr(args, name):
+            raise CLIError(f"eval with method {method} takes no --{name.replace('_', '-')}")
     data = ingest_csv(args.data, args.target)
 
-    if cfg["method"] == "qnn":
-        if not args.model:
-            raise CLIError("eval with method qnn requires --model")
+    if method == "qnn":
         net = qnn.load(args.model)
         cal = _load_calibration(args.calibration, alpha) if args.calibration else None
         lo, hi = qnn.predict_intervals(net, data.features, alpha)
         if cal is not None:
             lo, hi = conformal.conformalize(lo, hi, cal.qhat)
-    elif cfg["method"] == "kernel":
-        if not args.train_data:
-            raise CLIError("eval with method kernel requires --train-data")
+    else:
         train = ingest_csv(args.train_data, args.target)
         if train.n < 2:
             raise CLIError(f"{args.train_data}: eval with method kernel needs at "
@@ -316,14 +319,12 @@ def cmd_eval(args, cfg):
         lo, hi = kernel.nw_intervals(
             qnn.Dataset(X[0::2], y[0::2]), X[1::2], y[1::2], data.features,
             kernel.KernelConfig(float(cfg["bandwidth"])), alpha)
-    else:
-        raise CLIError(f"unknown method {cfg['method']!r}")
 
     coverage, mean_width = conformal.coverage(lo, hi, data.targets)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "eval.csv"),
               ["method", "alpha", "coverage", "mean_width"],
-              [(cfg["method"], alpha, coverage, mean_width)])
+              [(method, alpha, coverage, mean_width)])
 
 
 def _at_least(cfg, key, minimum):

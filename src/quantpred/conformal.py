@@ -4,11 +4,12 @@ and coverage evaluation. An interval set is a pair of arrays (lo, hi)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, conformal_quantile
+from .numerics import DomainError, _check_prob
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,15 @@ def scores(y, lo, hi):
 
 
 def calibrate(scores, alpha) -> ConformalCalibration:
-    """The conformal quantile of the calibration scores."""
-    s = np.asarray(scores, dtype=float).ravel()
+    """The conformal quantile: the ceil((1-alpha)(n+1))-th smallest of the
+    n calibration scores, or the largest when that rank exceeds n."""
+    s = np.sort(np.asarray(scores, dtype=float).ravel())
     if s.size == 0:
         raise DomainError("calibration set must be non-empty")
-    return ConformalCalibration(float(alpha), conformal_quantile(s, alpha), s.size)
+    alpha = float(_check_prob(alpha, "alpha"))
+    # small guard against an upward ulp pushing ceil past the true integer
+    k = math.ceil((1.0 - alpha) * (s.size + 1) - 1e-9)
+    return ConformalCalibration(alpha, float(s[min(max(k, 1), s.size) - 1]), s.size)
 
 
 def conformalize(lo, hi, qhat):

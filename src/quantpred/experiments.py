@@ -22,13 +22,18 @@ def fmt(v):
     return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
 
 
+# rows per fh.write of write_csv, per bulk float conversion in cli.ingest_features,
+# and per block of predictions.csv rows converted to Python floats
+_CHUNK_ROWS = 1024
+
+
 def write_csv(path, header, rows):
-    """A headed CSV file, one line per row of cells, written 1024 rows a call."""
+    """A headed CSV file, one line per row of cells, _CHUNK_ROWS rows a write."""
     rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         while chunk := "".join(",".join(map(fmt, r)) + "\n"
-                               for r in itertools.islice(rows, 1024)):
+                               for r in itertools.islice(rows, _CHUNK_ROWS)):
             fh.write(chunk)
 
 
@@ -333,6 +338,12 @@ def _replication(config: CoverageBenchConfig, rep):
             *(probe_hi - probe_lo).tolist())
 
 
+def _mean_se(v):
+    """The mean of the values v and its standard error, 0 for one value."""
+    se = v.std(ddof=1) / np.sqrt(v.size) if v.size > 1 else 0.0
+    return float(v.mean()), float(se)
+
+
 def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
     """Coverage and width of uncalibrated QNN intervals, CQR-calibrated
     intervals, and a fixed-width Nadaraya-Watson baseline, averaged over
@@ -348,15 +359,8 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
         return BenchResult([], {}, len(results))
     # one contiguous row per statistic, reduced as the serial loop's lists were
     table = np.array(done).T.copy()
-    rows = []
-    for k, m in enumerate(METHODS):
-        cc, ww = table[2 * k], table[2 * k + 1]
-        rows.append(BenchRow(
-            m, float(cc.mean()),
-            float(cc.std(ddof=1) / np.sqrt(cc.size)) if cc.size > 1 else 0.0,
-            float(ww.mean()),
-            float(ww.std(ddof=1) / np.sqrt(ww.size)) if ww.size > 1 else 0.0,
-        ))
+    rows = [BenchRow(m, *_mean_se(table[2 * k]), *_mean_se(table[2 * k + 1]))
+            for k, m in enumerate(METHODS)]
     probe_widths = {x: float(np.mean(v))
                     for x, v in zip(PROBE_POINTS, table[2 * len(METHODS):])}
     return BenchResult(rows, probe_widths, len(results) - len(done))

@@ -1,6 +1,6 @@
 """Shared deterministic numerics: normal distribution functions, empirical
-CDF/quantile machinery, the probability integral transform, a seeded
-random source, and the one parallel map."""
+CDF/quantile machinery, a seeded random source, and the one parallel
+map."""
 
 from __future__ import annotations
 
@@ -109,49 +109,6 @@ def empirical_quantile(dist: EmpiricalDistribution, tau) -> float:
     grid = np.arange(1, dist.n + 1) / dist.n
     k = min(int(np.searchsorted(grid, tau, side="left")), dist.n - 1)
     return float(dist.values[k])
-
-
-def conformal_quantile(scores, alpha) -> float:
-    """The ceil((1-alpha)(n+1))-th smallest of the n scores; clamps to the
-    maximum when (1-alpha)(1+1/n) exceeds 1."""
-    s = np.sort(np.asarray(scores, dtype=float))
-    n = s.size
-    if n == 0:
-        raise DomainError("scores must be non-empty")
-    alpha = float(_check_prob(alpha, "alpha"))
-    # small guard against an upward ulp pushing ceil past the true integer
-    k = math.ceil((1.0 - alpha) * (n + 1) - 1e-9)
-    if k > n:
-        return float(s[-1])
-    return float(s[max(k, 1) - 1])
-
-
-@dataclass(frozen=True)
-class PitResult:
-    pit_values: np.ndarray
-    ks_distance: float
-
-
-def pit_ranks(cdf_values) -> PitResult:
-    """Probability-integral-transform values together with their
-    Kolmogorov-Smirnov distance to Uniform(0, 1)."""
-    u = _check_prob(np.asarray(cdf_values, dtype=float), "cdf_values")
-    if u.size == 0:
-        raise DomainError("need at least one PIT value")
-    s = np.sort(u)
-    n = s.size
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - s)
-    d_minus = np.max(s - (i - 1) / n)
-    return PitResult(u, float(max(d_plus, d_minus)))
-
-
-def ks_critical_value(n, level=0.05) -> float:
-    """Asymptotic KS critical value c(level)/sqrt(n); c(0.05) = 1.36."""
-    c = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
-    if level not in c:
-        raise DomainError(f"no tabulated constant for level {level}")
-    return c[level] / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

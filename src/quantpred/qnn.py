@@ -228,10 +228,6 @@ class QuantileNetwork:
         """The live views of theta, in gradient order."""
         return list(self._params)
 
-    def set_standardization(self, mean, std):
-        self.x_mean = np.asarray(mean, dtype=float)
-        self.x_std = np.asarray(std, dtype=float)
-
     def _standardize(self, X):
         return (X - self.x_mean) / self.x_std
 
@@ -272,9 +268,8 @@ class QuantileNetwork:
         With alpha, two more columns follow from the same network pass: the
         central interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]. Penalty-mode
         nets may cross, so each pair is ordered. An off-grid level is
-        reported before a bad alpha, and both before the pass runs.
+        reported before a bad alpha, and both before the inputs are checked.
         """
-        X = self._inputs(X)
         levels = np.asarray(levels, dtype=float).ravel()
         cols = self._columns(levels)
         if alpha is not None:
@@ -282,6 +277,7 @@ class QuantileNetwork:
             bounds = [alpha / 2, 1 - alpha / 2]
             levels = np.append(levels, bounds)
             cols += self._columns(bounds)
+        X = self._inputs(X)
         if self.head == "implicit":
             q = self.forward_batch(X, levels)
         else:
@@ -432,10 +428,8 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     """
     if data.n == 0:
         raise DomainError("training data must be non-empty")
-    mean = data.features.mean(axis=0)
     std = data.features.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    net.set_standardization(mean, std)
+    net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
 
     theta = net.theta
     m = np.zeros_like(theta)
@@ -485,7 +479,6 @@ def predict_intervals(net: QuantileNetwork, X, alpha):
     """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
     one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
     each pair is ordered."""
-    check_alpha(alpha)  # a bad alpha first, before a feature-count mismatch
     q = net.quantiles_at(X, [], alpha)
     return q[:, 0], q[:, 1]
 

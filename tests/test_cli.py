@@ -459,6 +459,34 @@ class TestPipeline:
         assert rc == 1
         assert "requires --train-data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, flag, own", [
+        ("kernel", "--model", "--train-data"),
+        ("kernel", "--calibration", "--train-data"),
+        ("qnn", "--train-data", "--model"),
+    ])
+    def test_eval_rejects_other_methods_flags(self, pipeline, tmp_path, capsys,
+                                              method, flag, own):
+        # missing files: the flag is rejected before any file is read
+        missing = str(tmp_path / "nope")
+        out = tmp_path / "e"
+        rc = main(["eval", "--method", method, own, missing, flag, missing,
+                   "--data", missing, "--target", "y", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: eval with method {method} takes no {flag}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "0"])
+    def test_predict_rejects_bad_alpha_without_calibration(self, pipeline, tmp_path,
+                                                           capsys, alpha):
+        out = tmp_path / "p"
+        rc = main(["predict", "--model", pipeline["model"], "--data", pipeline["test_csv"],
+                   "--target", "y", "--alpha", alpha, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha must lie strictly inside (0, 1)"]
+        assert not out.exists()
+
     @staticmethod
     def _two_feature_csv(path, names, seed):
         """Rows (x1, x2, y) with y = x1 + noise, in the column order of names;

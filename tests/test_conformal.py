@@ -175,8 +175,7 @@ class TestExchangeabilityGuarantee:
         target = (1 - alpha) * (n + 1)
         if target <= n:
             # coverage in [1-alpha, 1-alpha+1/(n+1)), times n+1; the only
-            # slack is the 1e-9 guard numerics.conformal_quantile subtracts
-            # before taking the ceiling
+            # slack is the 1e-9 guard calibrate subtracts before the ceiling
             assert target - 1e-9 <= hits < target + 1
         else:
             assert qhat == s.max()

@@ -7,17 +7,15 @@ import time
 import numpy as np
 import pytest
 
+from quantpred.conformal import calibrate
 from quantpred.numerics import (
     DomainError,
     EmpiricalDistribution,
     RandomSource,
-    conformal_quantile,
     empirical_quantile,
-    ks_critical_value,
     normal_cdf,
     normal_quantile,
     parallel_map,
-    pit_ranks,
 )
 
 # high-precision reference values (mpmath, 30 digits), frozen before the build
@@ -147,61 +145,34 @@ class TestEmpiricalQuantile:
 
 class TestConformalQuantile:
     def test_hundred_scores(self):
-        assert conformal_quantile(np.arange(1, 101), 0.1) == 91
+        assert calibrate(np.arange(1, 101), 0.1).qhat == 91
 
     def test_single_score(self):
-        assert conformal_quantile([7.0], 0.5) == 7.0
+        assert calibrate([7.0], 0.5).qhat == 7.0
 
     def test_full_coverage_clamps_to_max(self):
-        assert conformal_quantile([1, 2, 3], 0.0) == 3
+        assert calibrate([1, 2, 3], 0.0).qhat == 3
 
     def test_small_alpha_clamps(self):
         # (1-alpha)(1+1/n) > 1 -> max score
-        assert conformal_quantile([5, 1, 9], 0.01) == 9
+        assert calibrate([5, 1, 9], 0.01).qhat == 9
 
     def test_order_statistic(self):
         scores = [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         # ceil(0.8 * 10) = 8 -> 8th smallest
-        assert conformal_quantile(scores, 0.2) == sorted(scores)[7]
+        assert calibrate(scores, 0.2).qhat == sorted(scores)[7]
 
     def test_ties_kept(self):
-        assert conformal_quantile([1.0, 1.0, 1.0, 2.0], 0.5) == 1.0
+        assert calibrate([1.0, 1.0, 1.0, 2.0], 0.5).qhat == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            conformal_quantile([], 0.1)
+            calibrate([], 0.1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan"), float("inf")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(DomainError, match="alpha"):
-            conformal_quantile([1.0, 2.0], alpha)
-
-
-class TestPitRanks:
-    def test_uniform_grid(self):
-        n = 50
-        u = np.arange(1, n + 1) / (n + 1)
-        res = pit_ranks(u)
-        assert res.ks_distance <= 1 / (n + 1) + 1e-15
-
-    def test_degenerate_point_mass(self):
-        res = pit_ranks([0.5] * 100)
-        assert res.ks_distance == 0.5
-
-    def test_seeded_normal_draws_pass_ks(self):
-        rng = RandomSource(42).stream("pit")
-        u = normal_cdf(rng.standard_normal(1000))
-        res = pit_ranks(u)
-        assert res.ks_distance < ks_critical_value(1000, 0.05)
-
-    def test_values_returned_unchanged(self):
-        u = [0.1, 0.9, 0.5]
-        res = pit_ranks(u)
-        assert np.array_equal(res.pit_values, u)
-
-    def test_rejects_outside_unit(self):
-        with pytest.raises(DomainError):
-            pit_ranks([0.5, 1.5])
+            calibrate([1.0, 2.0], alpha)
 
 
 class TestRandomSource:

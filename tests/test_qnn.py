@@ -38,7 +38,7 @@ def per_array_adam_train(net, data, taus, config):
     mean = data.features.mean(axis=0)
     std = data.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    net.set_standardization(mean, std)
+    net.x_mean, net.x_std = mean, std
 
     params = net.parameters()
     m = [np.zeros_like(p) for p in params]
@@ -261,7 +261,8 @@ class TestBlockedPass:
         else:
             net = QuantileNetwork([4, 64, 1], head="implicit", embedding_dim=8,
                                   activation=activation, monotone=monotone, seed=11)
-        net.set_standardization([0.1, -0.2, 0.3, 0.0], [1.5, 0.5, 2.0, 1.0])
+        net.x_mean = np.array([0.1, -0.2, 0.3, 0.0])
+        net.x_std = np.array([1.5, 0.5, 2.0, 1.0])
         return net
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -372,7 +373,7 @@ class TestLossAndGradient:
         net = QuantileNetwork(dims, activation=activation, head="implicit",
                               embedding_dim=7, monotone="penalty",
                               penalty_weight=0.7, seed=13)
-        net.set_standardization([0.1, -0.2, 0.3], [1.5, 0.5, 2.0])
+        net.x_mean, net.x_std = np.array([0.1, -0.2, 0.3]), np.array([1.5, 0.5, 2.0])
         ds = make_dataset(22, n=50)
         levels = np.asarray(levels)
         cfg = TrainingConfig(huber_kappa=kappa)
@@ -485,7 +486,7 @@ class TestTrain:
         net, trace = train(fresh(), ds, grid, cfg)
         assert trace[-1] == loss_and_gradient(net, ds, grid, cfg)[0]
         start = fresh()
-        start.set_standardization(net.x_mean, net.x_std)
+        start.x_mean, start.x_std = net.x_mean, net.x_std
         assert trace[0] == loss_and_gradient(start, ds, grid, cfg)[0]
 
     @pytest.mark.parametrize("head,mono,kappa", [
@@ -607,7 +608,8 @@ class TestPredictInterval:
         grid = QuantileGrid([0.05, 0.5, 0.95])
         net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
         with pytest.raises(DomainError, match=message):
-            net.quantiles_at([[0.0]], levels, alpha)
+            # a row of two features: the mismatch would be reported last
+            net.quantiles_at([[0.0, 1.0]], levels, alpha)
 
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
@@ -630,7 +632,7 @@ class TestPredictInterval:
         else:
             net = QuantileNetwork([3, 16, 1], head="implicit", embedding_dim=8,
                                   monotone="penalty", seed=5)
-        net.set_standardization([0.1, -0.2, 0.3], [1.5, 0.5, 2.0])
+        net.x_mean, net.x_std = np.array([0.1, -0.2, 0.3]), np.array([1.5, 0.5, 2.0])
         X = RandomSource(6).stream("rows").standard_normal((200, 3)) * 3.0
         lo, hi = predict_intervals(net, X, alpha)
         ref = np.array([np.sort(net.quantiles_at(x[None, :],
@@ -650,7 +652,7 @@ class TestSerialization:
         else:
             net = QuantileNetwork([2, 8, 1], head="implicit", embedding_dim=5,
                                   monotone="penalty", seed=4)
-        net.set_standardization([0.5, -1.0], [2.0, 3.0])
+        net.x_mean, net.x_std = np.array([0.5, -1.0]), np.array([2.0, 3.0])
         path = os.path.join(tmp_path, "model.qnet")
         qnn.save(net, path)
         other = qnn.load(path)
