@@ -16,13 +16,9 @@ import sys
 
 import numpy as np
 
-from . import analytic, conformal, experiments, kernel, qnn
+from . import conformal, experiments, kernel, qnn
 from .experiments import _CHUNK_ROWS, fmt, write_csv
 from .numerics import DomainError, check_alpha
-
-
-class CLIError(Exception):
-    """A structured, user-facing error."""
 
 
 # ---------------------------------------------------------------------------
@@ -31,29 +27,27 @@ class CLIError(Exception):
 
 def ingest_features(path) -> tuple:
     """Parse a headed numeric csv into (rows as an array, header names)."""
-    if not os.path.exists(path):
-        raise CLIError(f"file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
-                raise CLIError(f"{path}: empty file")
+                raise DomainError(f"{path}: empty file")
             if not header or any(not h.strip() for h in header):
-                raise CLIError(f"{path}: malformed header row")
+                raise DomainError(f"{path}: malformed header row")
             header = tuple(h.strip() for h in header)
             if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
-                raise CLIError(f"{path}: duplicate column name {dup!r} in header")
+                raise DomainError(f"{path}: duplicate column name {dup!r} in header")
             chunks, line = [], 2  # header is line 1
             while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
                 chunks.append(_parse_rows(path, header, rows, line))
                 line += len(rows)
         except UnicodeDecodeError:
-            raise CLIError(f"{path}: not UTF-8 text") from None
+            raise DomainError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
-            raise CLIError(f"{path}:{reader.line_num}: {exc}") from None
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not chunks:
-        raise CLIError(f"{path}: no data rows")
+        raise DomainError(f"{path}: no data rows")
     return np.concatenate(chunks), header
 
 
@@ -70,16 +64,16 @@ def _parse_rows(path, header, rows, line):
     data = np.empty((len(rows), len(header)))
     for r, row in enumerate(rows, start=line):
         if len(row) != len(header):
-            raise CLIError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
+            raise DomainError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
-                raise CLIError(
+                raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-numeric cell {cell!r}"
                 ) from None
             if not math.isfinite(v):
-                raise CLIError(
+                raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
             data[r - line, c] = v
@@ -90,7 +84,7 @@ def ingest_csv(path, target_column) -> qnn.Dataset:
     """ingest_features as a Dataset, with the target column taken out."""
     data, header = ingest_features(path)
     if target_column not in header:
-        raise CLIError(f"{path}: no column named {target_column!r}; "
+        raise DomainError(f"{path}: no column named {target_column!r}; "
                        f"available: {list(header)}")
     keep = [i for i, h in enumerate(header) if h != target_column]
     return qnn.Dataset(data[:, keep], data[:, header.index(target_column)])
@@ -155,24 +149,22 @@ def load_config(path=None):
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    if not os.path.exists(path):
-        raise CLIError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
         items = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         detail = " ".join(str(exc).split())  # configparser spans lines
-        raise CLIError(f"{path}: malformed config file: {detail}") from None
+        raise DomainError(f"{path}: malformed config file: {detail}") from None
     for section, pairs in items.items():
         if section not in cfg:
-            raise CLIError(f"{path}: unknown config section [{section}]")
+            raise DomainError(f"{path}: unknown config section [{section}]")
         for key, value in pairs:
             if key not in cfg[section]:
-                raise CLIError(f"{path}: unknown key {key!r} in [{section}]")
+                raise DomainError(f"{path}: unknown key {key!r} in [{section}]")
             for kind, noun in ((int, "an integer"), (float, "a finite number")):
                 if _parses(kind, cfg[section][key]) and not _parses(kind, value):
-                    raise CLIError(
+                    raise DomainError(
                         f"{path}: [{section}] {key} = {value!r} is not {noun}")
             cfg[section][key] = value
     return cfg
@@ -194,14 +186,11 @@ def _parse_list(text, kind, noun):
     try:
         return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise CLIError(f"malformed {noun} list {text!r}") from None
+        raise DomainError(f"malformed {noun} list {text!r}") from None
 
 
 def _parse_taus(text):
-    levels = _parse_list(text, float, "quantile")
-    if not levels:
-        raise CLIError("empty quantile list")
-    return qnn.QuantileGrid(sorted(levels))
+    return qnn.QuantileGrid(sorted(_parse_list(text, float, "quantile")))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +201,7 @@ def _load_calibration(path, alpha):
     """The calibration record at path, which must be for this alpha."""
     cal = conformal.ConformalCalibration.load(path)
     if cal.alpha != alpha:
-        raise CLIError(f"{path}: calibrated at alpha={cal.alpha!r}, "
+        raise DomainError(f"{path}: calibrated at alpha={cal.alpha!r}, "
                        f"but alpha={alpha!r} was requested")
     return cal
 
@@ -288,15 +277,15 @@ def cmd_predict(args, cfg):
 def cmd_eval(args, cfg):
     alpha, method = float(cfg["alpha"]), cfg["method"]
     if method not in ("qnn", "kernel"):
-        raise CLIError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     # the method's own flag, and no other method's, before any file is read
     needs, takes_no = (("model", ["train_data"]) if method == "qnn"
                        else ("train_data", ["model", "calibration"]))
     if not getattr(args, needs):
-        raise CLIError(f"eval with method {method} requires --{needs.replace('_', '-')}")
+        raise DomainError(f"eval with method {method} requires --{needs.replace('_', '-')}")
     for name in takes_no:
         if getattr(args, name):
-            raise CLIError(f"eval with method {method} takes no --{name.replace('_', '-')}")
+            raise DomainError(f"eval with method {method} takes no --{name.replace('_', '-')}")
     data = ingest_csv(args.data, args.target)
 
     if method == "qnn":
@@ -308,11 +297,11 @@ def cmd_eval(args, cfg):
     else:
         train = ingest_csv(args.train_data, args.target)
         if train.n < 2:
-            raise CLIError(f"{args.train_data}: eval with method kernel needs at "
+            raise DomainError(f"{args.train_data}: eval with method kernel needs at "
                            "least 2 rows, to fit and to calibrate")
         fit, test = (_feature_names(p, args.target) for p in (args.train_data, args.data))
         if fit != test:  # NW pairs the columns by position
-            raise CLIError(f"{args.data}: feature columns {test} differ from "
+            raise DomainError(f"{args.data}: feature columns {test} differ from "
                            f"{args.train_data}'s {fit}")
         # even rows fit the estimator, odd rows calibrate its half-width
         X, y = train.features, train.targets
@@ -331,12 +320,11 @@ def _at_least(cfg, key, minimum):
     """The integer demo setting key, checked before any demo work starts."""
     value = int(cfg[key])
     if value < minimum:
-        raise CLIError(f"[demo] {key} must be at least {minimum}, got {value}")
+        raise DomainError(f"[demo] {key} must be at least {minimum}, got {value}")
     return value
 
 
 def cmd_demo(args, cfg):
-    os.makedirs(args.out, exist_ok=True)
     if args.which == "normal-normal":
         experiments.run_normal_normal_demo(n=_at_least(cfg, "n", 1),
                                            seed=int(cfg["seed"]), out_dir=args.out)
@@ -432,7 +420,7 @@ def _check_out(out):
     if path and not os.path.isdir(path):
         # os.makedirs names --out as given, a trailing separator included
         name = out if below in (None, top) else below
-        raise CLIError(f"{name}: " + ("File exists" if below is None else "Not a directory"))
+        raise DomainError(f"{name}: " + ("File exists" if below is None else "Not a directory"))
 
 
 def main(argv=None):
@@ -452,9 +440,11 @@ def main(argv=None):
     except (FloatingPointError, OverflowError) as exc:
         message = (f"{exc.args[-1]}: input values or settings too large for "
                    "float arithmetic")
-    except (CLIError, DomainError, qnn.TrainingError, analytic.NumericalError) as exc:
+    except (DomainError, qnn.TrainingError) as exc:
         message = exc
-    except OSError as exc:  # say, a directory where a file should be, or the reverse
+    except MemoryError as exc:  # numpy's text names the size it could not allocate
+        message = f"out of memory: {exc}"
+    except OSError as exc:  # the one report of a path that cannot be opened
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     print(f"error: {message}", file=sys.stderr)
     return 1

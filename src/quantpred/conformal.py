@@ -54,11 +54,11 @@ class ConformalCalibration:
 
     @classmethod
     def load(cls, path) -> "ConformalCalibration":
-        """Read a record written by to_record; errors name the path."""
+        """Read a record written by to_record; every error, OSError too, names the path."""
         try:
             with open(path) as fh:
                 text = fh.read()
-        except (OSError, ValueError) as exc:  # ValueError: undecodable bytes
+        except ValueError as exc:  # undecodable bytes
             raise DomainError(f"cannot read calibration record {path}: {exc}") from None
         try:
             return cls.from_record(text)

@@ -372,10 +372,10 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
 
 def write_efron_report(out_dir, est_config: EfronConfig, m_replications=20_000,
                        oracle_replications=50_000):
-    os.makedirs(out_dir, exist_ok=True)
     est = efron_estimation_ratio(est_config)
     sweep = efron_prediction_sweep((5, 11, 31, 101, 1001), m_replications,
                                    est_config.seed, oracle_replications)
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "efron_estimation.csv"),
               ["n", "m_replications", "ratio", "se", "asymptotic"],
               [(est_config.n, est_config.m_replications, est.ratio, est.se, np.pi / 2)])
@@ -386,8 +386,8 @@ def write_efron_report(out_dir, est_config: EfronConfig, m_replications=20_000,
 
 
 def write_coverage_report(out_dir, config: CoverageBenchConfig):
-    os.makedirs(out_dir, exist_ok=True)
     result = run_coverage_bench(config)
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "coverage_bench.csv"),
               ["method", "coverage", "coverage_se", "mean_width", "width_se"],
               [(r.method, r.coverage, r.coverage_se, r.mean_width, r.width_se)

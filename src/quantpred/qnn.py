@@ -145,6 +145,16 @@ _ACT = {
 # Network
 # ---------------------------------------------------------------------------
 
+def _shapes(layer_dims, head, embedding_dim):
+    """The parameter shapes: W0, b0, W1, b1, ..., then the implicit head's embed_w, embed_b."""
+    shapes = []
+    for din, dout in zip(layer_dims[:-1], layer_dims[1:]):
+        shapes += [(din, dout), (dout,)]
+    if head == "implicit":
+        shapes += [(embedding_dim, layer_dims[-2]), (layer_dims[-2],)]
+    return shapes
+
+
 class QuantileNetwork:
     """Dense network predicting conditional quantiles.
 
@@ -202,13 +212,8 @@ class QuantileNetwork:
         self.x_mean = np.zeros(self.layer_dims[0])
         self.x_std = np.ones(self.layer_dims[0])
 
-        # every parameter is a view of the one vector theta, in the order
-        # W0, b0, W1, b1, ..., then embed_w, embed_b for the implicit head
-        shapes = []
-        for din, dout in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            shapes += [(din, dout), (dout,)]
-        if head == "implicit":
-            shapes += [(self.embedding_dim, self.layer_dims[-2]), (self.layer_dims[-2],)]
+        # every parameter is a view of the one vector theta
+        shapes = _shapes(self.layer_dims, head, self.embedding_dim)
         ends = np.cumsum([0] + [math.prod(s) for s in shapes])
         self.theta = np.zeros(ends[-1])
         self._params = [self.theta[a:b].reshape(s)
@@ -534,39 +539,39 @@ def save(net: QuantileNetwork, path):
 
 
 def load(path) -> QuantileNetwork:
-    """Read a model written by save; a missing, unreadable or malformed
-    file, an array whose shape differs from the one the model's
-    layer_dims, head and embedding_dim give, a non-finite array value or
-    a standardization std <= 0 raises DomainError naming the path."""
+    """Read a model written by save. A malformed file, an array whose shape
+    differs from the one the model's layer_dims, head and embedding_dim
+    give, a non-finite array value or a standardization std <= 0 raises
+    DomainError naming the path; an OSError propagates."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read model {path}: {exc.strerror}") from None
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: arrays nested too deep
         raise DomainError(f"{path}: not a JSON model file: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != FORMAT_TAG:
         raise DomainError(f"{path}: unrecognized model format {fmt!r}")
     try:
         grid = None if doc["grid"] is None else QuantileGrid(doc["grid"])
-        net = QuantileNetwork(
-            doc["layer_dims"], grid=grid, activation=doc["activation"],
-            head=doc["head"], embedding_dim=doc["embedding_dim"],
-            monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
-        )
-        layers = len(net.weights)
+        layers = len(doc["layer_dims"]) - 1
         for kind in ("weights", "biases"):
             if len(doc[kind]) != layers:
                 raise DomainError(f"field {kind} has {len(doc[kind])} arrays, "
                                   f"expected {layers}")
         fields = [(f"{kind}[{i}]", doc[kind][i])
                   for i in range(layers) for kind in ("weights", "biases")]
-        if net.head == "implicit":
+        if doc["head"] == "implicit":
             fields += [("embed.w", doc["embed"]["w"]), ("embed.b", doc["embed"]["b"])]
-        # each array fills the view of theta the constructor shaped for it
-        for p, (field, obj) in zip(net.parameters(), fields):
-            p[...] = _decode(obj, field, p.shape)
+        # checked before the constructor allocates what layer_dims and embedding_dim give
+        shapes = _shapes(doc["layer_dims"], doc["head"], doc["embedding_dim"])
+        arrays = [_decode(obj, field, shape) for (field, obj), shape in zip(fields, shapes)]
+        net = QuantileNetwork(
+            doc["layer_dims"], grid=grid, activation=doc["activation"],
+            head=doc["head"], embedding_dim=doc["embedding_dim"],
+            monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
+        )
+        # theta holds the arrays in the order of _shapes
+        net.theta[...] = np.concatenate([a.ravel() for a in arrays])
         stats, d = doc["standardization"], net.x_mean.shape
         net.x_mean = _decode(stats["mean"], "standardization.mean", d)
         net.x_std = _decode(stats["std"], "standardization.std", d)
@@ -574,6 +579,6 @@ def load(path) -> QuantileNetwork:
             raise DomainError("field standardization.std has a value <= 0")
     except KeyError as exc:
         raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: malformed model: {exc}") from None
     return net

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 import quantpred
 from quantpred import cli, conformal, kernel, qnn
 from quantpred.cli import (
-    CLIError,
     ingest_csv,
     ingest_features,
     load_config,
     main,
 )
-from quantpred.numerics import RandomSource
+from quantpred.numerics import DomainError, RandomSource
 
 SRC = os.path.dirname(os.path.dirname(quantpred.__file__))
 
@@ -60,47 +59,50 @@ class TestIngestCsv:
         assert ds.targets.tolist() == [2.0]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CLIError, match="file not found"):
-            ingest_csv(str(tmp_path / "nope.csv"), "y")
+        # cli.main reports an OSError by its filename
+        missing = str(tmp_path / "nope.csv")
+        with pytest.raises(FileNotFoundError) as info:
+            ingest_csv(missing, "y")
+        assert info.value.filename == missing
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "d.csv", "")
-        with pytest.raises(CLIError, match="empty file"):
+        with pytest.raises(DomainError, match="empty file"):
             ingest_csv(p, "y")
 
     def test_header_only(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n")
-        with pytest.raises(CLIError, match="no data rows"):
+        with pytest.raises(DomainError, match="no data rows"):
             ingest_csv(p, "y")
 
     def test_missing_target_column(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b\n1,2\n")
-        with pytest.raises(CLIError, match="no column named 'y'"):
+        with pytest.raises(DomainError, match="no column named 'y'"):
             ingest_csv(p, "y")
 
     def test_blank_cell_names_row_and_column(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n1,2\n,4\n")
-        with pytest.raises(CLIError, match=r"d\.csv:3: column 'x'"):
+        with pytest.raises(DomainError, match=r"d\.csv:3: column 'x'"):
             ingest_csv(p, "y")
 
     def test_non_numeric_cell(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n1,hello\n")
-        with pytest.raises(CLIError, match="column 'y': non-numeric cell 'hello'"):
+        with pytest.raises(DomainError, match="column 'y': non-numeric cell 'hello'"):
             ingest_csv(p, "y")
 
     def test_non_finite_cell(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n1,inf\n")
-        with pytest.raises(CLIError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite"):
             ingest_csv(p, "y")
 
     def test_ragged_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n1,2,3\n")
-        with pytest.raises(CLIError, match="expected 2 cells, got 3"):
+        with pytest.raises(DomainError, match="expected 2 cells, got 3"):
             ingest_csv(p, "y")
 
     def test_malformed_header(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,,y\n1,2,3\n")
-        with pytest.raises(CLIError, match="malformed header"):
+        with pytest.raises(DomainError, match="malformed header"):
             ingest_csv(p, "y")
 
     def test_large_round_trip_bitwise(self, tmp_path):
@@ -126,34 +128,32 @@ class TestIngestFeatures:
 
 def per_cell_ingest(path):
     """ingest_features as one loop of float() over every cell, the way it
-    was before the bulk conversion: (array, header), or CLIError."""
-    if not os.path.exists(path):
-        raise CLIError(f"file not found: {path}")
+    was before the bulk conversion: (array, header), or DomainError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise CLIError(f"{path}: empty file") from None
+            raise DomainError(f"{path}: empty file") from None
         rows = list(reader)
     if not header or any(not h.strip() for h in header):
-        raise CLIError(f"{path}: malformed header row")
+        raise DomainError(f"{path}: malformed header row")
     header = tuple(h.strip() for h in header)
     if not rows:
-        raise CLIError(f"{path}: no data rows")
+        raise DomainError(f"{path}: no data rows")
     data = np.empty((len(rows), len(header)))
     for r, row in enumerate(rows, start=2):  # header is line 1
         if len(row) != len(header):
-            raise CLIError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
+            raise DomainError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
-                raise CLIError(
+                raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-numeric cell {cell!r}"
                 ) from None
             if not math.isfinite(v):
-                raise CLIError(
+                raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
             data[r - 2, c] = v
@@ -165,7 +165,7 @@ def ingested(ingest, path):
     dtype, bytes and the header."""
     try:
         data, header = ingest(path)
-    except CLIError as exc:
+    except DomainError as exc:
         return str(exc)
     return data.shape, data.dtype, data.tobytes(), header
 
@@ -216,7 +216,7 @@ class TestConfig:
 
     def test_unknown_section_rejected(self, tmp_path):
         p = write(tmp_path / "c.ini", "[serve]\nport = 80\n")
-        with pytest.raises(CLIError, match=r"unknown config section \[serve\]"):
+        with pytest.raises(DomainError, match=r"unknown config section \[serve\]"):
             load_config(p)
 
     @pytest.mark.parametrize("section, key", [
@@ -225,7 +225,7 @@ class TestConfig:
     ])
     def test_unknown_key_rejected(self, tmp_path, section, key):
         p = write(tmp_path / "c.ini", f"[{section}]\n{key} = 0.9\n")
-        with pytest.raises(CLIError, match=f"unknown key '{key}'"):
+        with pytest.raises(DomainError, match=f"unknown key '{key}'"):
             load_config(p)
 
     @pytest.mark.parametrize("text", [
@@ -253,8 +253,10 @@ class TestConfig:
         assert "Traceback" not in proc.stderr
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(CLIError, match="config file not found"):
-            load_config(str(tmp_path / "nope.ini"))
+        missing = str(tmp_path / "nope.ini")
+        with pytest.raises(FileNotFoundError) as info:
+            load_config(missing)
+        assert info.value.filename == missing
 
     def test_config_echo_round_trips(self, tmp_path):
         # the echoed config re-parses to an equivalent run configuration
@@ -551,11 +553,50 @@ class TestPipeline:
 
 class TestErrorSurface:
     def test_missing_data_file_exit_code(self, tmp_path, capsys):
-        rc = main(["train", "--data", str(tmp_path / "nope.csv"),
+        missing = str(tmp_path / "nope.csv")
+        rc = main(["train", "--data", missing,
                    "--target", "y", "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "file not found" in err
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--data", "--config", "--model", "--calibration",
+                                      "--train-data"])
+    def test_unopenable_path(self, pipeline, tmp_path, capsys, flag):
+        # every path flag, given a missing file or a directory, ends with the
+        # one form cli.main gives an OSError, before --out is made
+        for path, reason in ((str(tmp_path / "nope"), "No such file or directory"),
+                             (str(tmp_path), "Is a directory")):
+            out = tmp_path / "o"
+            argv = {
+                "--data": ["train", "--data", path, "--target", "y"],
+                "--config": ["train", "--data", pipeline["train_csv"], "--target", "y",
+                             "--config", path],
+                "--model": ["predict", "--model", path, "--data", pipeline["test_csv"]],
+                "--calibration": ["predict", "--model", pipeline["model"],
+                                  "--calibration", path, "--data", pipeline["test_csv"]],
+                "--train-data": ["eval", "--method", "kernel", "--train-data", path,
+                                 "--data", pipeline["test_csv"], "--target", "y"],
+            }[flag]
+            assert main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, text", [
+        (["demo", "normal-normal"], "[demo]\nn = 1000000000000000\n"),
+        (["demo", "coverage"], "[demo]\nn_train = 1000000000000000\nreplications = 2\n"),
+        (["train", "--data", "d.csv", "--target", "y"],
+         "[train]\nhidden = 100000000,100000000\n"),
+    ], ids=["demo-n", "coverage-worker-n-train", "train-hidden"])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, argv, text):
+        # sizes past the address space, so numpy allocates nothing
+        monkeypatch.chdir(tmp_path)
+        make_data_csv(tmp_path / "d.csv", 30)
+        conf = write(tmp_path / "c.ini", text)
+        assert main(argv + ["--config", conf, "--out", "o"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_taus(self, tmp_path, capsys):
         data = make_data_csv(tmp_path / "d.csv", 30)
@@ -893,6 +934,18 @@ class TestDemoCommand:
                      "--out", str(b)]) == 0
         assert ((a / "report.txt").read_text()
                 != (b / "report.txt").read_text())
+
+
+    @pytest.mark.parametrize("which, text", [
+        ("normal-normal", "n = 0"),
+        ("efron", "efron_n = 1"),
+        ("coverage", "dgp = nope"),
+    ])
+    def test_rejected_setting_creates_nothing(self, tmp_path, capsys, which, text):
+        conf = write(tmp_path / "c.ini", f"[demo]\n{text}\n")
+        assert main(["demo", which, "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestColdStart:

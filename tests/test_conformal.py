@@ -234,9 +234,11 @@ class TestRecord:
             ConformalCalibration.from_record(text)
 
     def test_load_names_the_path(self, tmp_path):
+        # an OSError propagates, naming the path in its filename
         missing = str(tmp_path / "nope.txt")
-        with pytest.raises(DomainError, match="nope.txt"):
+        with pytest.raises(FileNotFoundError) as info:
             ConformalCalibration.load(missing)
+        assert info.value.filename == missing
         bad = tmp_path / "bad.txt"
         bad.write_text("conformal-calibration v1\nalpha=0.1\nn=3\n")
         with pytest.raises(DomainError, match="bad.txt.*'qhat'"):

@@ -698,6 +698,39 @@ class TestSerialization:
         with pytest.raises(DomainError, match="malformed model"):
             qnn.load(path)
 
+    @pytest.mark.parametrize("edit", [
+        # 16M parameters would take 128 MB, and as much again for their draws
+        {"layer_dims": [2, 4000, 4000, 1]},
+        # no layer, so no second-to-last width for the implicit head's embedding
+        {"layer_dims": [2], "weights": [], "biases": []},
+    ], ids=["oversized", "no-layer"])
+    def test_layer_dims_rejected_before_allocation(self, tmp_path, edit):
+        net = QuantileNetwork([2, 8, 1], head="implicit", embedding_dim=4,
+                              monotone="penalty", seed=0)
+        path = os.path.join(tmp_path, "model.qnet")
+        qnn.save(net, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc.update(edit)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="malformed model"):
+                qnn.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        # json.load raises RecursionError, not ValueError, past its nesting limit
+        path = os.path.join(tmp_path, "deep.qnet")
+        with open(path, "w") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DomainError, match="not a JSON model file"):
+            qnn.load(path)
+
     def test_bad_format_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "junk.qnet")
         with open(path, "w") as fh:
