@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 import sys
 import warnings
@@ -98,6 +99,31 @@ class TestNWPredict:
         got = nw_predict(train, Xq, cfg)
         assert got.shape == (m,)
         assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_expanded_square_matches_reference(self, offset):
+        # the benchmark's 4 columns and bandwidth; squared distances expanded
+        # as ||q||^2 - 2 q.x + ||x||^2 lose eps (||x|| / sigma)^2 unless the
+        # features are centered, which the 1e4 offset would show
+        rng = RandomSource(13).stream("nw-expanded")
+        train = Dataset(rng.uniform(-2, 2, (2000, 4)) + offset, rng.uniform(1, 2, 2000))
+        Xq = rng.uniform(-2, 2, (500, 4)) + offset
+        cfg = KernelConfig(0.3)
+        ref = np.array([reference_nw(train, x, cfg) for x in Xq])
+        assert np.max(np.abs(nw_predict(train, Xq, cfg) - ref) / ref) < 1e-12
+
+    def test_sharp_limit_in_four_columns(self):
+        # grid points 1 apart and queries within 0.3 of one in each column:
+        # the nearest point wins by a squared distance of at least 0.4, far
+        # beyond the matmul's rounding, and every other weight is exactly 0
+        grid = np.array(list(itertools.product(range(-2, 3), repeat=4)), dtype=float)
+        rng = RandomSource(14).stream("nw-sharp")
+        train = Dataset(grid, rng.standard_normal(len(grid)))
+        nearest = rng.integers(0, len(grid), 300)
+        Xq = grid[nearest] + rng.uniform(-0.3, 0.3, (300, 4))
+        with pytest.warns(RuntimeWarning, match="all kernel weights underflowed"):
+            got = nw_predict(train, Xq, KernelConfig(1e-3))
+        assert got.tolist() == train.targets[nearest].tolist()
 
     def test_warns_only_for_underflowing_queries(self):
         train = Dataset([[0.5, 0.5]], [4.2])
