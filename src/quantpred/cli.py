@@ -86,14 +86,21 @@ def ingest_csv(path, target_column) -> qnn.Dataset:
     if target_column not in header:
         raise DomainError(f"{path}: no column named {target_column!r}; "
                        f"available: {list(header)}")
+    X, names = _split(data, header, target_column)
+    return qnn.Dataset(X, data[:, header.index(target_column)], names)
+
+
+def _split(data, header, target_column):
+    """The feature columns of data, every column but the target, and their names."""
     keep = [i for i, h in enumerate(header) if h != target_column]
-    return qnn.Dataset(data[:, keep], data[:, header.index(target_column)])
+    return data[:, keep], tuple(header[i] for i in keep)
 
 
-def _feature_names(path, target_column):
-    """The header of the csv at path, in order, without the target column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [h.strip() for h in next(csv.reader(fh)) if h.strip() != target_column]
+def _check_features(path, names, source, expected):
+    """Reject the data file at path unless its feature columns are source's, in order."""
+    if names != expected:  # the network and NW pair the columns by position
+        raise DomainError(f"{path}: feature columns {list(names)} differ from "
+                       f"{source}'s {list(expected)}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +246,7 @@ def cmd_calibrate(args, cfg):
     alpha = float(cfg["alpha"])
     net = qnn.load(args.model)
     data = ingest_csv(args.data, args.target)
+    _check_features(args.data, data.names, args.model, net.features)
     lo, hi = qnn.predict_intervals(net, data.features, alpha)
     cal = conformal.calibrate(conformal.scores(data.targets, lo, hi), alpha)
     os.makedirs(args.out, exist_ok=True)
@@ -252,9 +260,8 @@ def cmd_predict(args, cfg):
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
     if cal is None:  # quantiles_at checks it on the interval path
         check_alpha(alpha)
-    X, header = ingest_features(args.data)
-    if args.target and args.target in header:
-        X = X[:, [i for i, h in enumerate(header) if h != args.target]]
+    X, names = _split(*ingest_features(args.data), args.target)
+    _check_features(args.data, names, args.model, net.features)
 
     levels = (_parse_taus(cfg["taus"]).levels if cfg["taus"]
               else (net.grid.levels if net.grid is not None
@@ -291,6 +298,7 @@ def cmd_eval(args, cfg):
     if method == "qnn":
         net = qnn.load(args.model)
         cal = _load_calibration(args.calibration, alpha) if args.calibration else None
+        _check_features(args.data, data.names, args.model, net.features)
         lo, hi = qnn.predict_intervals(net, data.features, alpha)
         if cal is not None:
             lo, hi = conformal.conformalize(lo, hi, cal.qhat)
@@ -299,10 +307,7 @@ def cmd_eval(args, cfg):
         if train.n < 2:
             raise DomainError(f"{args.train_data}: eval with method kernel needs at "
                            "least 2 rows, to fit and to calibrate")
-        fit, test = (_feature_names(p, args.target) for p in (args.train_data, args.data))
-        if fit != test:  # NW pairs the columns by position
-            raise DomainError(f"{args.data}: feature columns {test} differ from "
-                           f"{args.train_data}'s {fit}")
+        _check_features(args.data, data.names, args.train_data, train.names)
         # even rows fit the estimator, odd rows calibrate its half-width
         X, y = train.features, train.targets
         lo, hi = kernel.nw_intervals(

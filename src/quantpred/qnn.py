@@ -15,7 +15,7 @@ import numpy as np
 
 from .numerics import DomainError, RandomSource, check_alpha
 
-FORMAT_TAG = "qnet-v1"
+FORMAT_TAG = "qnet-v2"
 # values of the widest layer per row block of a full-data pass: 512 KB per
 # layer array, so the work arrays stay in cache (1024 rows at width 64)
 _BLOCK = 2 ** 16
@@ -67,6 +67,7 @@ class QuantileGrid:
 class Dataset:
     features: np.ndarray  # n x d
     targets: np.ndarray   # n
+    names: tuple = ()     # the feature columns' names
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.features, dtype=float))
@@ -208,9 +209,10 @@ class QuantileNetwork:
         self.embedding_dim = int(embedding_dim)
         self.monotone = monotone
         self.penalty_weight = float(penalty_weight)
-        # the identity until train (or load) sets the feature statistics
+        # the identity and no names until train (or load) describes the features
         self.x_mean = np.zeros(self.layer_dims[0])
         self.x_std = np.ones(self.layer_dims[0])
+        self.features = ()
 
         # every parameter is a view of the one vector theta
         shapes = _shapes(self.layer_dims, head, self.embedding_dim)
@@ -435,6 +437,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
         raise DomainError("training data must be non-empty")
     std = data.features.std(axis=0)
     net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
+    net.features = data.names
 
     theta = net.theta
     m = np.zeros_like(theta)
@@ -528,21 +531,18 @@ def save(net: QuantileNetwork, path):
         "monotone": net.monotone,
         "penalty_weight": net.penalty_weight,
         "standardization": {"mean": _encode(net.x_mean), "std": _encode(net.x_std)},
-        "weights": [_encode(W) for W in net.weights],
-        "biases": [_encode(b) for b in net.biases],
-        "embed": None if net.embed_w is None else {
-            "w": _encode(net.embed_w), "b": _encode(net.embed_b),
-        },
+        "features": list(net.features),
+        "theta": _encode(net.theta),  # the parameter arrays in the order of _shapes
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
 
 
 def load(path) -> QuantileNetwork:
-    """Read a model written by save. A malformed file, an array whose shape
-    differs from the one the model's layer_dims, head and embedding_dim
-    give, a non-finite array value or a standardization std <= 0 raises
-    DomainError naming the path; an OSError propagates."""
+    """Read a model written by save; an OSError propagates. A malformed
+    file, an array whose shape differs from the one the model's layer_dims,
+    head and embedding_dim give, a non-finite array value, a std <= 0 or a
+    feature name that is not a string raises DomainError naming the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -550,33 +550,27 @@ def load(path) -> QuantileNetwork:
         raise DomainError(f"{path}: not a JSON model file: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != FORMAT_TAG:
-        raise DomainError(f"{path}: unrecognized model format {fmt!r}")
+        raise DomainError(f"{path}: model format {fmt!r}, not {FORMAT_TAG!r}: retrain the model")
     try:
         grid = None if doc["grid"] is None else QuantileGrid(doc["grid"])
-        layers = len(doc["layer_dims"]) - 1
-        for kind in ("weights", "biases"):
-            if len(doc[kind]) != layers:
-                raise DomainError(f"field {kind} has {len(doc[kind])} arrays, "
-                                  f"expected {layers}")
-        fields = [(f"{kind}[{i}]", doc[kind][i])
-                  for i in range(layers) for kind in ("weights", "biases")]
-        if doc["head"] == "implicit":
-            fields += [("embed.w", doc["embed"]["w"]), ("embed.b", doc["embed"]["b"])]
         # checked before the constructor allocates what layer_dims and embedding_dim give
         shapes = _shapes(doc["layer_dims"], doc["head"], doc["embedding_dim"])
-        arrays = [_decode(obj, field, shape) for (field, obj), shape in zip(fields, shapes)]
+        theta = _decode(doc["theta"], "theta", (sum(map(math.prod, shapes)),))
         net = QuantileNetwork(
             doc["layer_dims"], grid=grid, activation=doc["activation"],
             head=doc["head"], embedding_dim=doc["embedding_dim"],
             monotone=doc["monotone"], penalty_weight=doc["penalty_weight"],
         )
-        # theta holds the arrays in the order of _shapes
-        net.theta[...] = np.concatenate([a.ravel() for a in arrays])
+        net.theta[...] = theta
         stats, d = doc["standardization"], net.x_mean.shape
         net.x_mean = _decode(stats["mean"], "standardization.mean", d)
         net.x_std = _decode(stats["std"], "standardization.std", d)
         if np.any(net.x_std <= 0):
             raise DomainError("field standardization.std has a value <= 0")
+        features = doc["features"]
+        if not (isinstance(features, list) and all(isinstance(f, str) for f in features)):
+            raise DomainError("field features is not a list of strings")
+        net.features = tuple(features)
     except KeyError as exc:
         raise DomainError(f"{path}: model lacks field {exc.args[0]!r}") from None
     except (IndexError, TypeError, ValueError) as exc:

@@ -57,6 +57,7 @@ class TestIngestCsv:
         ds = ingest_csv(p, "y")
         assert ds.features.tolist() == [[1.0, 3.0]]
         assert ds.targets.tolist() == [2.0]
+        assert ds.names == ("a", "b")
 
     def test_missing_file(self, tmp_path):
         # cli.main reports an OSError by its filename
@@ -501,23 +502,38 @@ class TestPipeline:
                                     for i in range(60)]
         return write(path, "\n".join(rows) + "\n")
 
+    @pytest.mark.parametrize("command", ["eval-kernel", "calibrate", "predict", "eval-qnn"])
     @pytest.mark.parametrize("names, shown", [
         (("x2", "x1", "y"), "['x2', 'x1']"),  # the same columns, swapped
         (("x1", "z", "y"), "['x1', 'z']"),  # a renamed column
     ])
-    def test_eval_kernel_rejects_other_feature_columns(self, tmp_path, capsys,
-                                                       monkeypatch, names, shown):
-        calls = []
-        monkeypatch.setattr(kernel, "nw_predict", lambda *a: calls.append(a))
+    def test_rejects_other_feature_columns(self, tmp_path, capsys, monkeypatch,
+                                           command, names, shown):
+        # NW and the network pair the columns by position, so every command
+        # checks their names against the training file's before any work
         train = self._two_feature_csv(tmp_path / "train.csv", ("x1", "x2", "y"), 1)
         test = self._two_feature_csv(tmp_path / "test.csv", names, 2)
-        rc = main(["eval", "--method", "kernel", "--train-data", train, "--data", test,
-                   "--target", "y", "--out", str(tmp_path / "e")])
+        source = model = str(tmp_path / "m" / "model.qnet")
+        if command == "eval-kernel":
+            source = train
+        else:
+            conf = write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n")
+            assert main(["train", "--data", train, "--target", "y", "--config", conf,
+                         "--out", str(tmp_path / "m")]) == 0
+        argv = {"eval-kernel": ["eval", "--method", "kernel", "--train-data", train],
+                "calibrate": ["calibrate", "--model", model],
+                "predict": ["predict", "--model", model],
+                "eval-qnn": ["eval", "--method", "qnn", "--model", model]}[command]
+        calls = []
+        monkeypatch.setattr(kernel, "nw_predict", lambda *a: calls.append(a))
+        monkeypatch.setattr(qnn, "_predict", lambda *a: calls.append(a))
+        out = tmp_path / "e"
+        rc = main(argv + ["--data", test, "--target", "y", "--out", str(out)])
         assert rc == 1 and calls == []
         assert capsys.readouterr().err.splitlines() == [
             f"error: {test}: feature columns {shown} differ from "
-            f"{train}'s ['x1', 'x2']"]
-        assert not (tmp_path / "e" / "eval.csv").exists()
+            f"{source}'s ['x1', 'x2']"]
+        assert not out.exists()
 
     def test_eval_kernel_finds_the_target_anywhere(self, tmp_path):
         # only the features' order must agree; the target may sit elsewhere
@@ -533,13 +549,15 @@ class TestPipeline:
 
     @pytest.mark.parametrize("command", ["calibrate", "eval", "predict"])
     def test_predict_feature_mismatch(self, pipeline, tmp_path, capsys, command):
-        # one check in the forward pass, so every command says the same
+        # the column check comes before the network's width check, so every
+        # command names both files
         bad = write(tmp_path / "bad.csv", "a,b,y\n1,2,3\n")
         rc = main([command, "--model", pipeline["model"], "--data", bad,
                    "--target", "y", "--out", str(tmp_path / "p")])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: model expects 1 features, got 2"]
+        assert lines == [f"error: {bad}: feature columns ['a', 'b'] differ from "
+                         f"{pipeline['model']}'s ['x']"]
 
     def test_train_deterministic(self, pipeline, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -831,15 +849,15 @@ class TestArtifactErrors:
         assert err.startswith("error:") and bad in err and "'grid'" in err
 
     @pytest.mark.parametrize("field, shape, expected", [
-        ("weights[0]", [8, 1], [1, 8]),     # transposed
-        ("biases[1]", [1], [3]),            # would broadcast over the 3 outputs
+        # layer_dims [1, 8, 3] give 43 parameters; 40 lack the output biases
+        ("theta", [40], [43]),
         ("standardization.mean", [], [1]),  # would broadcast over the features
-    ], ids=["weights-transposed", "output-bias", "feature-mean"])
+    ], ids=["output-bias", "feature-mean"])
     def test_model_array_shape_mismatch(self, pipeline, tmp_path, capsys,
                                         field, shape, expected):
         def reshape(text):
             doc = json.loads(text)
-            {"weights[0]": doc["weights"][0], "biases[1]": doc["biases"][1],
+            {"theta": doc["theta"],
              "standardization.mean": doc["standardization"]["mean"],
              }[field].update(qnn._encode(np.ones(shape)))
             return json.dumps(doc)
@@ -854,13 +872,13 @@ class TestArtifactErrors:
     @pytest.mark.parametrize("field, value, complaint", [
         ("standardization.std", 0.0, "has a value <= 0"),  # divides by zero
         ("standardization.std", np.nan, "has a non-finite value"),
-        ("weights[0]", np.inf, "has a non-finite value"),
+        ("theta", np.inf, "has a non-finite value"),  # theta[0] is the first weight
     ], ids=["std-zero", "std-nan", "weight-inf"])
     def test_model_array_values(self, pipeline, tmp_path, capsys, field, value,
                                 complaint):
         def poison(text):
             doc = json.loads(text)
-            encoded = {"weights[0]": doc["weights"][0],
+            encoded = {"theta": doc["theta"],
                        "standardization.std": doc["standardization"]["std"]}[field]
             a = qnn._decode(encoded, field, encoded["shape"])
             a.flat[0] = value  # the model has one feature: std is all `value`
@@ -871,6 +889,36 @@ class TestArtifactErrors:
         assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: {bad}: malformed model: field {field} {complaint}"]
+
+    @pytest.mark.parametrize("features", ["x", [1], None, ["x", None]],
+                             ids=["bare-string", "number", "null", "null-name"])
+    def test_model_features_not_strings(self, pipeline, tmp_path, capsys, features):
+        def rename(text):
+            doc = json.loads(text)
+            doc["features"] = features
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", rename)
+        assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: malformed model: field features is not a list of strings"]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_v1_rejected(self, pipeline, tmp_path, capsys, command):
+        # the previous layout: one array per weight and bias, and no names
+        def downgrade(text):
+            doc = json.loads(text)
+            net = qnn.load(pipeline["model"])
+            del doc["theta"], doc["features"]
+            doc.update(format="qnet-v1", weights=[qnn._encode(W) for W in net.weights],
+                       biases=[qnn._encode(b) for b in net.biases], embed=None)
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", downgrade)
+        assert self._run(pipeline, tmp_path, command, model=bad) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: model format 'qnet-v1', not 'qnet-v2': retrain the model"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     @pytest.mark.parametrize("record_alpha", ["0.1", "0.5"])

@@ -611,6 +611,21 @@ class TestPredictInterval:
             # a row of two features: the mismatch would be reported last
             net.quantiles_at([[0.0, 1.0]], levels, alpha)
 
+    @pytest.mark.parametrize("head", ["multi", "implicit"])
+    def test_inputs_must_have_the_model_width(self, head):
+        # the width check outside the command line, where no names are compared
+        if head == "multi":
+            net = QuantileNetwork([2, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
+        else:
+            net = QuantileNetwork([2, 4, 1], head="implicit", embedding_dim=3,
+                                  monotone="penalty", seed=0)
+        for X in ([[0.0, 1.0, 2.0]], [[0.0]]):
+            width = len(X[0])
+            with pytest.raises(DomainError, match=f"model expects 2 features, got {width}"):
+                net.forward_batch(X, [0.5])
+            with pytest.raises(DomainError, match=f"model expects 2 features, got {width}"):
+                net.quantiles_at(X, [0.5], 0.1)
+
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
                               monotone="penalty", seed=2)
@@ -653,6 +668,7 @@ class TestSerialization:
             net = QuantileNetwork([2, 8, 1], head="implicit", embedding_dim=5,
                                   monotone="penalty", seed=4)
         net.x_mean, net.x_std = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        net.features = ("u", "v")
         path = os.path.join(tmp_path, "model.qnet")
         qnn.save(net, path)
         other = qnn.load(path)
@@ -660,6 +676,7 @@ class TestSerialization:
             assert np.array_equal(a, b)
             assert np.shares_memory(b, other.theta)
         assert np.array_equal(net.x_mean, other.x_mean)
+        assert other.features == ("u", "v")
         assert other.layer_dims == net.layer_dims
         assert other.monotone == net.monotone
         # write-then-read-then-write reproduces the file bytes
