@@ -204,6 +204,15 @@ def _parse_taus(text):
 # Commands: each reads its resolved config section and writes its outputs
 # ---------------------------------------------------------------------------
 
+def _load_model(path):
+    """The model at path, which must name the feature columns it was trained on."""
+    net = qnn.load(path)
+    if not net.features:  # trained through the library on a Dataset without names
+        raise DomainError(f"{path}: the model names no feature columns; train it with "
+                          "the train command, or on a qnn.Dataset given names")
+    return net
+
+
 def _load_calibration(path, alpha):
     """The calibration record at path, which must be for this alpha."""
     cal = conformal.ConformalCalibration.load(path)
@@ -231,7 +240,6 @@ def cmd_train(args, cfg):
     )
     net, trace = qnn.train(net, data, grid, tc)
 
-    os.makedirs(args.out, exist_ok=True)
     qnn.save(net, os.path.join(args.out, "model.qnet"))
     preds = net.forward_batch(data.features)
     losses = [np.mean(qnn.pinball_loss(data.targets - preds[:, k], tau))
@@ -244,19 +252,18 @@ def cmd_train(args, cfg):
 
 def cmd_calibrate(args, cfg):
     alpha = float(cfg["alpha"])
-    net = qnn.load(args.model)
+    net = _load_model(args.model)
     data = ingest_csv(args.data, args.target)
     _check_features(args.data, data.names, args.model, net.features)
     lo, hi = qnn.predict_intervals(net, data.features, alpha)
     cal = conformal.calibrate(conformal.scores(data.targets, lo, hi), alpha)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "calibration.txt"), "w") as fh:
         fh.write(cal.to_record())
 
 
 def cmd_predict(args, cfg):
     alpha = float(cfg["alpha"])
-    net = qnn.load(args.model)
+    net = _load_model(args.model)
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
     if cal is None:  # quantiles_at checks it on the interval path
         check_alpha(alpha)
@@ -273,7 +280,6 @@ def cmd_predict(args, cfg):
         q[:, -2], q[:, -1] = conformal.conformalize(q[:, -2], q[:, -1], cal.qhat)
         names += ["lower", "upper"]
 
-    os.makedirs(args.out, exist_ok=True)
     # Python floats for one block of rows at a time, not for the whole table
     rows = itertools.chain.from_iterable(
         q[start:start + _CHUNK_ROWS].tolist() for start in range(0, len(q), _CHUNK_ROWS))
@@ -296,7 +302,7 @@ def cmd_eval(args, cfg):
     data = ingest_csv(args.data, args.target)
 
     if method == "qnn":
-        net = qnn.load(args.model)
+        net = _load_model(args.model)
         cal = _load_calibration(args.calibration, alpha) if args.calibration else None
         _check_features(args.data, data.names, args.model, net.features)
         lo, hi = qnn.predict_intervals(net, data.features, alpha)
@@ -315,7 +321,6 @@ def cmd_eval(args, cfg):
             kernel.KernelConfig(float(cfg["bandwidth"])), alpha)
 
     coverage, mean_width = conformal.coverage(lo, hi, data.targets)
-    os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "eval.csv"),
               ["method", "alpha", "coverage", "mean_width"],
               [(method, alpha, coverage, mean_width)])
@@ -415,25 +420,17 @@ def build_parser():
     return p
 
 
-def _check_out(out):
-    """Reject an --out that os.makedirs could not make a directory, with
-    the text its error would have, before the command does any work."""
-    top = out.rstrip(os.sep) or out
-    path, below = top, None
-    while path and not os.path.exists(path):
-        path, below = os.path.dirname(path), path
-    if path and not os.path.isdir(path):
-        # os.makedirs names --out as given, a trailing separator included
-        name = out if below in (None, top) else below
-        raise DomainError(f"{name}: " + ("File exists" if below is None else "Not a directory"))
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    made = []  # the directories of --out this run makes, deepest first
     try:
         cfg = _settings(args)
-        _check_out(args.out)
+        path = os.path.abspath(args.out)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
+        os.makedirs(args.out, exist_ok=True)  # before any work: its error comes first
         # an overflow or invalid operation would put inf or NaN in the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.func(args, cfg)
@@ -441,6 +438,7 @@ def main(argv=None):
         with open(os.path.join(args.out, f"{args.command}_meta.json"), "w") as fh:
             json.dump({args.command: cfg}, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        made.clear()  # a run that succeeds keeps them
         return 0
     except (FloatingPointError, OverflowError) as exc:
         message = (f"{exc.args[-1]}: input values or settings too large for "
@@ -451,6 +449,12 @@ def main(argv=None):
         message = f"out of memory: {exc}"
     except OSError as exc:  # the one report of a path that cannot be opened
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+    finally:  # on any failure, KeyboardInterrupt too; a directory written to stays
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
     print(f"error: {message}", file=sys.stderr)
     return 1
 

@@ -60,8 +60,6 @@ class EfronConfig:
 class RatioResult:
     ratio: float
     se: float
-    numerator: float
-    denominator: float
 
 
 def _ratio_with_se(num_sq, den_sq):
@@ -71,7 +69,7 @@ def _ratio_with_se(num_sq, den_sq):
     va, vb = num_sq.var(ddof=1) / m, den_sq.var(ddof=1) / m
     cab = np.cov(num_sq, den_sq, ddof=1)[0, 1] / m
     var_r = va / b**2 + (a**2 / b**4) * vb - 2 * (a / b**3) * cab
-    return RatioResult(a / b, float(np.sqrt(max(var_r, 0.0))), a, b)
+    return RatioResult(a / b, float(np.sqrt(max(var_r, 0.0))))
 
 
 # normal draws held at once by the Monte Carlo loops, unless one row is longer
@@ -268,7 +266,7 @@ class CoverageBenchConfig:
     def __post_init__(self):
         if self.dgp not in DGP_REGISTRY:
             raise DomainError(f"unknown dgp {self.dgp!r}; choose from {DGP_REGISTRY}")
-        for name in ("n_train", "n_cal", "n_test", "replications"):
+        for name in ("n_train", "n_cal", "n_test", "replications", "epochs"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
         check_alpha(self.alpha)

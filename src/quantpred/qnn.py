@@ -45,7 +45,7 @@ class QuantileGrid:
         lv = np.asarray(levels, dtype=float)
         if lv.size == 0:
             raise DomainError("quantile grid needs at least one level")
-        if np.any(lv <= 0) or np.any(lv >= 1):
+        if not np.all((lv > 0) & (lv < 1)):  # NaN too
             raise DomainError("levels must lie strictly inside (0, 1)")
         if np.any(np.diff(lv) <= 0):
             raise DomainError("levels must be strictly increasing")
@@ -78,6 +78,8 @@ class Dataset:
             )
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise DomainError("dataset contains non-finite entries")
+        if len(self.names) not in (0, X.shape[1]):
+            raise DomainError(f"{len(self.names)} feature names for {X.shape[1]} features")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", y)
 
@@ -136,9 +138,9 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-_ACT = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+_ACT = {  # each activation, and its derivative as a function of the activation
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0),
+    "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
 }
 
 
@@ -241,13 +243,12 @@ class QuantileNetwork:
     # -- forward ------------------------------------------------------------
 
     def _trunk_forward(self, X):
-        """Hidden stack up to (and excluding) the final linear layer."""
+        """X, then the activation of each hidden layer (not the output layer)."""
         act, _ = _ACT[self.activation]
-        zs, activations = [], [X]
+        activations = [X]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            zs.append(activations[-1] @ W + b)
-            activations.append(act(zs[-1]))
-        return activations[-1], zs, activations
+            activations.append(act(activations[-1] @ W + b))
+        return activations
 
     def _cosine_features(self, taus):
         i = np.arange(self.embedding_dim)
@@ -263,11 +264,14 @@ class QuantileNetwork:
         return X
 
     def forward_batch(self, X, taus=None):
-        """Predicted quantiles, one row per input, one column per level."""
-        X = self._inputs(X)
+        """Predicted quantiles, one row per input, one column per level of
+        taus; the multi head's whole grid without taus. The levels are
+        checked before the inputs."""
         if self.head == "implicit" and taus is None:
             raise DomainError("implicit mode requires explicit levels")
-        return _predict(self, X, taus)
+        cols = None if taus is None else self._columns(_levels(taus))
+        q = _predict(self, self._inputs(X), taus)
+        return q if cols is None else q[:, cols]
 
     def quantiles_at(self, X, levels, alpha=None):
         """Predictions at specific levels; multi-head requires grid membership.
@@ -278,27 +282,23 @@ class QuantileNetwork:
         reported before a bad alpha, and both before the inputs are checked.
         """
         levels = np.asarray(levels, dtype=float).ravel()
-        cols = self._columns(levels)
+        self._columns(levels)  # an off-grid level before a bad alpha
         if alpha is not None:
             check_alpha(alpha)
-            bounds = [alpha / 2, 1 - alpha / 2]
-            levels = np.append(levels, bounds)
-            cols += self._columns(bounds)
-        X = self._inputs(X)
-        if self.head == "implicit":
-            q = self.forward_batch(X, levels)
-        else:
-            q = self.forward_batch(X)[:, cols]
+            levels = np.append(levels, [alpha / 2, 1 - alpha / 2])
+        q = self.forward_batch(X, levels)
         if alpha is not None:
             lo, hi = np.minimum(q[:, -2], q[:, -1]), np.maximum(q[:, -2], q[:, -1])
             q[:, -2], q[:, -1] = lo, hi
         return q
 
     def _columns(self, levels):
-        """The grid column of each level; the implicit head takes any level."""
-        if self.head == "implicit":
-            return []
-        return [self.grid.index_of(t) for t in levels]
+        """The grid column of each level; the implicit head takes any level
+        in [0, 1] and has no columns (None)."""
+        if self.head == "multi":
+            return [self.grid.index_of(t) for t in levels]
+        if not np.all((levels >= 0) & (levels <= 1)):  # NaN too
+            raise DomainError(f"levels must lie in [0, 1], got {levels.tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +316,20 @@ def _forward(net: QuantileNetwork, X, levels):
     loss. X is in input units and is standardized here; levels are read
     only by the implicit head.
     """
-    psi, zs, activations = net._trunk_forward(net._standardize(X))
+    activations = net._trunk_forward(net._standardize(X))
     W, cos_feat, phi = net.weights[-1], None, None
     if net.head == "implicit":
         # the levels generate the output weights: column k is w * phi(tau_k)
         cos_feat = net._cosine_features(levels)
         phi = np.maximum(cos_feat @ net.embed_w + net.embed_b, 0.0)  # K x H
         W = W * phi.T
-    raw = psi @ W + net.biases[-1]
+    raw = activations[-1] @ W + net.biases[-1]
     q = raw
     if net.monotone == "increments":
         q = np.empty_like(raw)
         q[:, 0] = raw[:, 0]
         q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
-    return q, (zs, activations, raw, W, cos_feat, phi)
+    return q, (activations, raw, W, cos_feat, phi)
 
 
 def _predict(net: QuantileNetwork, X, levels):
@@ -358,13 +358,13 @@ def _loss(net: QuantileNetwork, q, y, levels, kappa):
     return loss, u, slope, viol
 
 
-def _trunk_backward(net: QuantileNetwork, delta, zs, activations):
+def _trunk_backward(net: QuantileNetwork, delta, activations):
     """Hidden-layer gradients [W0, b0, W1, b1, ...] from delta, the
     gradient with respect to the trunk's output."""
     _, dact = _ACT[net.activation]
     grads = []
     for layer in range(len(net.weights) - 2, -1, -1):
-        delta = delta * dact(zs[layer])
+        delta = delta * dact(activations[layer + 1])
         grads[:0] = [activations[layer].T @ delta, delta.sum(axis=0)]
         if layer > 0:
             delta = delta @ net.weights[layer].T
@@ -392,14 +392,14 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
         dq_pen[:, 1:] -= g
         dq = dq + dq_pen
 
-    zs, activations, raw, W, cos_feat, phi = cache
+    activations, raw, W, cos_feat, phi = cache
     draw = dq
     if net.monotone == "increments":
         # q_k = raw_0 + sum_{j<=k, j>=1} softplus(raw_j)
         tail = np.cumsum(dq[:, ::-1], axis=1)[:, ::-1]
         draw = tail.copy()
         draw[:, 1:] *= _sigmoid(raw[:, 1:])
-    grads = _trunk_backward(net, draw @ W.T, zs, activations)
+    grads = _trunk_backward(net, draw @ W.T, activations)
     gW, gb = activations[-1].T @ draw, draw.sum(axis=0)
     if net.head == "multi":
         return loss, grads + [gW, gb]
@@ -435,6 +435,14 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     """
     if data.n == 0:
         raise DomainError("training data must be non-empty")
+    # checked once here, not per batch in loss_and_gradient
+    levels = _levels(taus)
+    if net.head == "multi" and net._columns(levels) != list(range(len(net.grid))):
+        raise DomainError(f"training levels {levels.tolist()} are not the grid "
+                          f"{net.grid.levels.tolist()}")
+    if not np.all((levels > 0) & (levels < 1)):
+        raise DomainError("training levels must lie strictly inside (0, 1), "
+                          f"got {levels.tolist()}")
     std = data.features.std(axis=0)
     net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
     net.features = data.names
@@ -445,7 +453,6 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    levels = _levels(taus)
     rng = RandomSource(config.seed).stream("train")
     trace = [_full_loss(net, data, levels, config.huber_kappa)]
     best_loss = trace[0]

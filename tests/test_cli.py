@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantpred
-from quantpred import cli, conformal, kernel, qnn
+from quantpred import cli, conformal, experiments, kernel, qnn
 from quantpred.cli import (
     ingest_csv,
     ingest_features,
@@ -752,6 +752,62 @@ class TestErrorSurface:
             f"error: {made.value.filename}: {made.value.strerror}"]
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("command", ["train", "eval-kernel"])
+    def test_out_the_system_rejects(self, tmp_path, capsys, monkeypatch, command):
+        # main makes --out before any work, so the operating system's own
+        # error ends the run, and nothing is created
+        self._never_started(monkeypatch)
+        argv = self._argv(tmp_path, command)
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / ("x" * 300) / "run")
+        assert main(argv + ["--out", out]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith(": File name too long")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        argv = ["train", "--data", str(tmp_path / "nope.csv"), "--target", "y",
+                "--out", str(tmp_path / "new" / "deeper")]
+        assert main(argv) == 1
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "new").mkdir()  # one the run did not make stays
+        assert main(argv) == 1
+        assert os.listdir(tmp_path) == ["new"] and os.listdir(tmp_path / "new") == []
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_interrupted_run_removes_the_out_it_made(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(qnn, "train", interrupted)
+        out = tmp_path / "o"
+        with pytest.raises(KeyboardInterrupt):
+            main(self._argv(tmp_path, "train") + ["--out", str(out)])
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        write(out / "keep.txt", "kept\n")
+        assert main(["train", "--data", str(tmp_path / "nope.csv"), "--target", "y",
+                     "--out", str(out)]) == 1
+        assert os.listdir(out) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept\n"
+        capsys.readouterr()
+
+    def test_failed_run_keeps_the_files_it_wrote(self, tmp_path, capsys, monkeypatch):
+        # the model is saved before the reports, whose write fails here
+        def full(path, *args):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "write_csv", full)
+        out = tmp_path / "new" / "o"
+        assert main(self._argv(tmp_path, "train") + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / 'train_report.csv'}: No space left on device"]
+        assert os.listdir(out) == ["model.qnet"]
+
     def test_config_names_a_directory(self, tmp_path, capsys):
         data = make_data_csv(tmp_path / "d.csv", 30)
         rc = main(["train", "--data", data, "--target", "y",
@@ -903,6 +959,24 @@ class TestArtifactErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {bad}: malformed model: field features is not a list of strings"]
 
+    @pytest.mark.parametrize("command", ["calibrate", "predict", "eval"])
+    def test_model_without_feature_names(self, pipeline, tmp_path, capsys, command):
+        # trained through the library on a Dataset built without names
+        grid = qnn.QuantileGrid([0.05, 0.5, 0.95])
+        net = qnn.QuantileNetwork([1, 4, 3], grid=grid, seed=0)
+        data = ingest_csv(pipeline["train_csv"], "y")
+        qnn.train(net, qnn.Dataset(data.features, data.targets), grid,
+                  qnn.TrainingConfig(epochs=1))
+        model = str(tmp_path / "lib.qnet")
+        qnn.save(net, model)
+        argv = [command, "--model", model, "--data", pipeline["cal_csv"], "--target", "y",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {model}: the model names no feature columns; train it with "
+            "the train command, or on a qnn.Dataset given names"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_model_v1_rejected(self, pipeline, tmp_path, capsys, command):
         # the previous layout: one array per weight and bias, and no names
@@ -993,6 +1067,18 @@ class TestDemoCommand:
         conf = write(tmp_path / "c.ini", f"[demo]\n{text}\n")
         assert main(["demo", which, "--config", conf, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+
+    def test_coverage_epochs_checked_before_any_worker(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(experiments, "parallel_map", never)
+        conf = write(tmp_path / "c.ini", "[demo]\nepochs = 0\n")
+        assert main(["demo", "coverage", "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: epochs must be at least 1"]
         assert not (tmp_path / "o").exists()
 
 

@@ -85,7 +85,8 @@ def einsum_implicit_loss_and_gradient(net, batch, levels, config):
     forward and backward: an n x K x H product h of the trunk output and
     the level embedding, with einsum gradients. The reference for the
     level-generated output layer."""
-    psi, zs, activations = net._trunk_forward(net._standardize(batch.features))
+    activations = net._trunk_forward(net._standardize(batch.features))
+    psi = activations[-1]
     cos_feat = net._cosine_features(levels)
     ze = cos_feat @ net.embed_w + net.embed_b
     phi = np.maximum(ze, 0.0)
@@ -109,7 +110,7 @@ def einsum_implicit_loss_and_gradient(net, batch, levels, config):
     dpsi = np.einsum("nkh,kh->nh", dh, phi)
     dphi = np.einsum("nkh,nh->kh", dh, psi)
     dze = dphi * (ze > 0)
-    grads = qnn._trunk_backward(net, dpsi, zs, activations)
+    grads = qnn._trunk_backward(net, dpsi, activations)
     return loss, grads + [gw_out, gb_out, cos_feat.T @ dze, dze.sum(axis=0)]
 
 
@@ -523,6 +524,30 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(net, ds, grid, cfg)
 
+    @pytest.mark.parametrize("head, levels, message", [
+        # one level would broadcast over the three outputs
+        ("multi", [0.5], r"training levels \[0.5\] are not the grid \[0.05, 0.5, 0.95\]"),
+        # the saved grid would mislabel every column
+        ("multi", [0.2, 0.5, 0.8], r"level 0.2 not on the grid"),
+        ("multi", [0.05, 0.5], r"training levels \[0.05, 0.5\] are not the grid"),
+        ("implicit", [0.5, 1.0], r"strictly inside \(0, 1\), got \[0.5, 1.0\]"),
+        ("implicit", [np.nan], r"strictly inside \(0, 1\), got \[nan\]"),
+    ])
+    def test_levels_checked_before_the_first_pass(self, monkeypatch, head, levels,
+                                                  message):
+        def never(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(qnn, "_predict", never)
+        monkeypatch.setattr(qnn, "loss_and_gradient", never)
+        if head == "multi":
+            net = QuantileNetwork([2, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
+        else:
+            net = QuantileNetwork([2, 4, 1], head="implicit", embedding_dim=3,
+                                  monotone="penalty", seed=0)
+        with pytest.raises(DomainError, match=message):
+            train(net, make_dataset(2, n=16, d=2), levels, TrainingConfig(epochs=1))
+
     def test_training_error_pickles(self):
         exc = pickle.loads(pickle.dumps(TrainingError(3, 1, "x")))
         assert isinstance(exc, TrainingError)
@@ -625,6 +650,23 @@ class TestPredictInterval:
                 net.forward_batch(X, [0.5])
             with pytest.raises(DomainError, match=f"model expects 2 features, got {width}"):
                 net.quantiles_at(X, [0.5], 0.1)
+
+    def test_multi_head_answers_at_the_levels_asked(self):
+        net = QuantileNetwork([2, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
+        X = make_dataset(3, n=5, d=2).features
+        assert np.array_equal(net.forward_batch(X, [0.95, 0.05]),
+                              net.forward_batch(X)[:, [2, 0]])
+        with pytest.raises(DomainError, match="level 0.3 not on the grid"):
+            net.forward_batch(X, [0.3])
+
+    @pytest.mark.parametrize("levels", [[1.5, np.nan], [np.nan], [0.5, -0.1]])
+    def test_implicit_levels_outside_the_unit_interval(self, levels):
+        net = QuantileNetwork([1, 4, 1], head="implicit", embedding_dim=3,
+                              monotone="penalty", seed=0)
+        for run in (lambda: net.forward_batch([[0.0]], levels),
+                    lambda: net.quantiles_at([[0.0]], levels)):
+            with pytest.raises(DomainError, match=r"levels must lie in \[0, 1\]"):
+                run()
 
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
@@ -763,11 +805,22 @@ class TestValidation:
         with pytest.raises(DomainError):
             QuantileGrid([0.0, 0.5])
 
+    def test_grid_rejects_nan(self):
+        with pytest.raises(DomainError, match=r"strictly inside \(0, 1\)"):
+            QuantileGrid([np.nan])
+
     def test_dataset_checks(self):
         with pytest.raises(DomainError):
             Dataset([[1.0], [2.0]], [1.0])
         with pytest.raises(DomainError):
             Dataset([[np.inf]], [1.0])
+
+    def test_dataset_names_count(self):
+        # no names, or one per feature column
+        with pytest.raises(DomainError, match="2 feature names for 4 features"):
+            Dataset(np.zeros((3, 4)), np.zeros(3), ("a", "b"))
+        assert Dataset(np.zeros((3, 2)), np.zeros(3), ("a", "b")).names == ("a", "b")
+        assert Dataset(np.zeros((3, 2)), np.zeros(3)).names == ()
 
     def test_config_checks(self):
         with pytest.raises(DomainError):
