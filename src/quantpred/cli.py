@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -26,29 +27,67 @@ from .numerics import DomainError, check_alpha
 # ---------------------------------------------------------------------------
 
 def ingest_features(path) -> tuple:
-    """Parse a headed numeric csv into (rows as an array, header names)."""
+    """Parse a headed numeric csv into (rows as an array, header names).
+    numpy's C parser converts the rows in runs of _CHUNK_ROWS lines; a file
+    with a run it does not take whole is read again through csv.reader, so
+    the values are float()'s and an error: line names the line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DomainError(f"{path}: empty file")
-            if not header or any(not h.strip() for h in header):
-                raise DomainError(f"{path}: malformed header row")
-            header = tuple(h.strip() for h in header)
-            if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
-                raise DomainError(f"{path}: duplicate column name {dup!r} in header")
-            chunks, line = [], 2  # header is line 1
-            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-                chunks.append(_parse_rows(path, header, rows, line))
-                line += len(rows)
-        except UnicodeDecodeError:
-            raise DomainError(f"{path}: not UTF-8 text") from None
-        except csv.Error as exc:
-            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+        header, chunks = _read(path, fh, bulk=True)
+        if chunks is None:
+            fh.seek(0)
+            header, chunks = _read(path, fh, bulk=False)
     if not chunks:
         raise DomainError(f"{path}: no data rows")
     return np.concatenate(chunks), header
+
+
+def _read(path, fh, bulk):
+    """The header of the csv open as fh and its rows as arrays of up to
+    _CHUNK_ROWS rows each; with bulk, by _loadtxt_runs, else by _parse_rows."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DomainError(f"{path}: empty file")
+        if not header or any(not h.strip() for h in header):
+            raise DomainError(f"{path}: malformed header row")
+        header = tuple(h.strip() for h in header)
+        if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
+            raise DomainError(f"{path}: duplicate column name {dup!r} in header")
+        if bulk:
+            return header, _loadtxt_runs(fh, len(header))
+        chunks, line = [], 2  # header is line 1
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            chunks.append(_parse_rows(path, header, rows, line))
+            line += len(rows)
+        return header, chunks
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _loadtxt_runs(fh, width):
+    """The rest of fh as arrays of up to _CHUNK_ROWS rows, converted by
+    np.loadtxt, which parses a number with float()'s function; None unless
+    every line is width finite numbers csv.reader and float() read the same."""
+    chunks, limit = [], csv.field_size_limit()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns of a run of blank lines
+            while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+                # csv.reader rejects a cell past its limit, and float() the
+                # characters \x1c-\x1f, which numpy strips as space
+                text = "".join(lines)
+                if max(map(len, lines)) > limit or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+                    return None
+                data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                if data.shape != (len(lines), width) or not np.isfinite(data).all():
+                    return None
+                chunks.append(data)
+    except Exception:  # anything loadtxt or the decoder rejects
+        return None
+    return chunks
 
 
 def _parse_rows(path, header, rows, line):
@@ -280,11 +319,12 @@ def cmd_predict(args, cfg):
         q[:, -2], q[:, -1] = conformal.conformalize(q[:, -2], q[:, -1], cal.qhat)
         names += ["lower", "upper"]
 
-    # Python floats for one block of rows at a time, not for the whole table
+    # Python floats for one block of rows at a time, not for the whole table;
+    # the cells are ints and floats, whose fmt is repr
     rows = itertools.chain.from_iterable(
         q[start:start + _CHUNK_ROWS].tolist() for start in range(0, len(q), _CHUNK_ROWS))
     write_csv(os.path.join(args.out, "predictions.csv"), names,
-              ([i, *row] for i, row in enumerate(rows)))
+              ([i, *row] for i, row in enumerate(rows)), cell=repr)
 
 
 def cmd_eval(args, cfg):
@@ -420,17 +460,31 @@ def build_parser():
     return p
 
 
+def _makedirs(path, made):
+    """os.makedirs(path, exist_ok=True), noting in made each directory it creates."""
+    head, tail = os.path.split(path)
+    if not tail:
+        head, tail = os.path.split(head)
+    if head and tail and not os.path.exists(head):
+        _makedirs(head, made)
+        if tail == os.curdir:  # head/. exists once head does
+            return
+    try:
+        os.mkdir(path)
+    except OSError:
+        if not os.path.isdir(path):  # one that exists, such as --out or new/..
+            raise
+    else:
+        made.append(path)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    made = []  # the directories of --out this run makes, deepest first
+    made = []  # the directories of --out this run makes
     try:
         cfg = _settings(args)
-        path = os.path.abspath(args.out)
-        while not os.path.exists(path):
-            made.append(path)
-            path = os.path.dirname(path)
-        os.makedirs(args.out, exist_ok=True)  # before any work: its error comes first
+        _makedirs(args.out, made)  # before any work: its error comes first
         # an overflow or invalid operation would put inf or NaN in the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.func(args, cfg)
@@ -450,7 +504,7 @@ def main(argv=None):
     except OSError as exc:  # the one report of a path that cannot be opened
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
     finally:  # on any failure, KeyboardInterrupt too; a directory written to stays
-        for path in made:
+        for path in reversed(made):
             try:
                 os.rmdir(path)
             except OSError:

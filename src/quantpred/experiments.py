@@ -22,17 +22,19 @@ def fmt(v):
     return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
 
 
-# rows per fh.write of write_csv, per bulk float conversion in cli.ingest_features,
-# and per block of predictions.csv rows converted to Python floats
+# rows per fh.write of write_csv, per np.loadtxt call and per csv.reader block
+# in cli.ingest_features, and per block of predictions.csv rows converted to
+# Python floats
 _CHUNK_ROWS = 1024
 
 
-def write_csv(path, header, rows):
-    """A headed CSV file, one line per row of cells, _CHUNK_ROWS rows a write."""
+def write_csv(path, header, rows, cell=fmt):
+    """A headed CSV file, one line per row of cells, _CHUNK_ROWS rows a write.
+    cell writes one cell; repr is fmt for rows of Python ints and floats."""
     rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := "".join(",".join(map(fmt, r)) + "\n"
+        while chunk := "".join(",".join(map(cell, r)) + "\n"
                                for r in itertools.islice(rows, _CHUNK_ROWS)):
             fh.write(chunk)
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -136,7 +137,10 @@ def per_cell_ingest(path):
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path}: empty file") from None
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not header or any(not h.strip() for h in header):
         raise DomainError(f"{path}: malformed header row")
     header = tuple(h.strip() for h in header)
@@ -177,11 +181,12 @@ CELL = st.one_of(
     NUMBER,
     st.sampled_from(["", " 2 ", "1_0", "1__0", "0x10", "١٢", "١.٥", "\u20031",
                      "\t2\n", "-0", "5e-324", "1e-400", "1e400", "-inf", "nan",
-                     "NaN(1)", "infinity", "+.5", "1e1_0", "abc", "1,5"]),
+                     "NaN(1)", "infinity", "+.5", "1e1_0", "abc", "1,5", "2\x1c",
+                     "\x1f2", "1\x0c"]),
     st.text(st.characters(exclude_characters="\x00"), max_size=4),
 )
-# a few rows of x,y: pairs of numbers, or 1 to 3 of any of those cells
-EDGE_ROWS = st.lists(st.one_of(st.lists(NUMBER, min_size=2, max_size=2),
+# a few rows of x,y: pairs of numbers, blank rows, or 1 to 3 of any of those cells
+EDGE_ROWS = st.lists(st.one_of(st.lists(NUMBER, min_size=2, max_size=2), st.just([]),
                                st.lists(CELL, min_size=1, max_size=3)),
                      min_size=1, max_size=6)
 
@@ -201,6 +206,55 @@ class TestBulkIngest:
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows([["x", "y"], *valid, *rows])
             assert ingested(ingest_features, path) == ingested(per_cell_ingest, path)
+
+    # files where numpy's loadtxt and csv.reader with float() part ways
+    @pytest.mark.parametrize("text", [
+        pytest.param("x,y\n1,2\n\n3,4\n", id="blank-line"),
+        pytest.param("x,y\n1,2\n3,4\n\n", id="blank-last-line"),
+        pytest.param("x\n1\n\n", id="blank-line-one-column"),
+        pytest.param("x,y\n1,2\n \n3,4\n", id="space-line"),
+        pytest.param("x\n1\n \t\n", id="space-line-one-column"),
+        pytest.param("x,y\n1,2\n#x\n", id="hash-line"),
+        pytest.param("x\n1\n#x\n", id="hash-line-one-column"),
+        pytest.param("x,y\r\n1,2\r\n3,4\r\n", id="crlf"),
+        pytest.param("x,y\r1,2\r3,4\r", id="bare-cr"),
+        pytest.param("x,y\r\n1,2\r\n\r\n", id="crlf-blank-line"),
+        pytest.param("x,y\n0." + "0" * 140_000 + "1,2\n", id="past-field-limit"),
+        pytest.param("x,y\n0." + "0" * 130_000 + "1,2\n", id="within-field-limit"),
+        pytest.param('x,y\n"1",2\n', id="quoted"),
+        pytest.param('x,y\n"1\n",2\n', id="quoted-over-two-lines"),
+        pytest.param('x,y\n1,"2\r\n3"\n', id="quoted-crlf"),
+        pytest.param("x,y\n١٢,1\n", id="arabic-indic-digits"),
+        pytest.param("x,y\n1,2\u2003\n", id="em-space"),
+        *(pytest.param(f"x,y\n1,2{c}\n", id=f"space-to-numpy-only-{ord(c):x}")
+          for c in "\x1c\x1d\x1e\x1f"),
+        pytest.param("x,y\n1,2\x00\n", id="nul"),
+        pytest.param("x,y\n1,2\n1,2,\n", id="trailing-comma"),
+    ])
+    def test_where_loadtxt_differs(self, tmp_path, text):
+        path = str(tmp_path / "d.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        assert ingested(ingest_features, path) == ingested(per_cell_ingest, path)
+
+    @pytest.mark.parametrize("bad", ["1,x", "1,2\x1c", "1,2,3", "1_0,2", ""])
+    def test_clean_first_run_then_a_bad_row(self, tmp_path, bad):
+        valid = "".join(f"{i / 7!r},{-i}\n" for i in range(cli._CHUNK_ROWS))
+        path = write(tmp_path / "d.csv", f"x,y\n{valid}{bad}\n3,4\n")
+        assert ingested(ingest_features, path) == ingested(per_cell_ingest, path)
+
+    def test_blank_run_is_one_error_line(self, tmp_path, capsys):
+        # a run of only blank lines, which np.loadtxt warns of, ends with
+        # the one error: line and no warning
+        valid = "".join(f"{i},{i}\n" for i in range(cli._CHUNK_ROWS))
+        path = write(tmp_path / "d.csv", f"x,y\n{valid}\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--data", path, "--target", "y",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:{cli._CHUNK_ROWS + 2}: expected 2 cells, got 0"]
 
 
 class TestConfig:
@@ -375,6 +429,36 @@ class TestPipeline:
         assert np.all(q95 - q05 + 2 * qhat >= 0)  # no interval collapsed
         assert np.array_equal(lower, q05 - qhat)
         assert np.array_equal(upper, q95 + qhat)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_predictions_cell_format(self, pipeline, tmp_path, monkeypatch, calibrated):
+        # the bytes fmt gives each cell, on values at the edges of repr's
+        # forms, across blocks of 16 rows
+        values = [-0.0, 0.0, 5e-324, 1e-300, 1e-05, 0.0001, 1.0, 1e16, 1e300]
+        values += [-v for v in values[1:]]
+
+        def quantiles_at(net, X, levels, alpha=None):
+            width = len(levels) + (alpha is not None) * 2
+            return np.resize(values, (len(X), width))
+
+        monkeypatch.setattr(qnn.QuantileNetwork, "quantiles_at", quantiles_at)
+        monkeypatch.setattr(conformal, "conformalize", lambda lo, hi, qhat: (lo, hi))
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 16)
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 16)
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", pipeline["model"], "--data", pipeline["test_csv"],
+                "--target", "y", "--out", str(out)]
+        assert main(argv + (["--calibration", pipeline["calibration"]]
+                            if calibrated else [])) == 0
+        q = quantiles_at(None, range(120), [0.05, 0.5, 0.95], 0.1 if calibrated else None)
+        header = "row,q0.05,q0.5,q0.95" + (",lower,upper" if calibrated else "")
+        # the writer before repr: fmt on every cell
+        expected = "".join([header + "\n"] + [
+            ",".join(map(experiments.fmt, [i, *row])) + "\n"
+            for i, row in enumerate(q.tolist())])
+        assert (out / "predictions.csv").read_bytes() == expected.encode()
+        assert {cell for line in expected.splitlines()[1:]
+                for cell in line.split(",")[1:]} == set(map(repr, values))
 
     def test_predict_runs_one_network_pass(self, pipeline, tmp_path, monkeypatch):
         # the quantile and interval columns come from one pass, in blocks of
@@ -775,6 +859,15 @@ class TestErrorSurface:
         assert main(argv) == 1
         assert os.listdir(tmp_path) == ["new"] and os.listdir(tmp_path / "new") == []
         assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_failed_run_removes_a_dotted_out(self, tmp_path, capsys, monkeypatch):
+        # new/../o makes new, then o beside it; both go
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--data", "nope.csv", "--target", "y",
+                     "--out", "new/../o"]) == 1
+        assert os.listdir(tmp_path) == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: nope.csv: No such file or directory"]
 
     def test_interrupted_run_removes_the_out_it_made(self, tmp_path, monkeypatch):
         def interrupted(*args):
