@@ -12,13 +12,15 @@ from .numerics import DomainError, check_alpha, cpus, parallel_map
 
 # smallest positive normal double; below this every weight has underflowed
 _TINY = np.finfo(float).tiny
-# kernel values per block of queries: 512 KB, so a block's weights stay in cache
-_BLOCK = 2 ** 16
+# kernel values per block of queries: 1 MB, in a core's 4 MiB L2 on a 2-core x86
+# host. There 3 * 10**4 queries on 10**4 rows took 0.51 s at 2**17, 0.69-0.74 s
+# at 2**16 and 1.2-1.3 s at 2**18, where OpenBLAS adds threads for kb @ Y.
+_BLOCK = 2 ** 17
 # kernel values from which nw_predict spreads its blocks over threads. On a
 # 2-core x86 host a pool of two threads took 0.17 ms to start and join, and
-# 2**24 values in 4 columns about 72 ms serial and 59 ms on two threads; at
-# 10**6, the size of each NW call in demo coverage's forked workers, the
-# gain was lost in the noise, so those calls stay serial.
+# 2**24 values in 4 columns, in blocks of 2**17, a median 54 ms serial and
+# 36 ms on two threads; at 10**6, the size of each NW call in demo coverage's
+# forked workers, the gain was lost in the noise, so those calls stay serial.
 _THREADED = 2 ** 24
 
 
@@ -79,17 +81,18 @@ def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b):
     had all their unshifted weights underflow. Calls only numpy, so it may
     run on any thread."""
     k = np.empty((min(rows, b - a), A.shape[1]))
-    qa = np.ones((k.shape[0], A.shape[0]))  # [q - c, 1] per row
+    # [(q - c) / s2, 1 / s2] per row; numpy's divide obeys the caller's errstate
+    qa = np.full((k.shape[0], A.shape[0]), np.divide(1.0, s2))
     underflowed = 0
     for start in range(a, b, rows):
         kb, q = k[:b - start], qa[:b - start]  # the last block may be short
         np.subtract(Q[start:start + len(q)], c, out=q[:, :-1])
-        np.matmul(q, A, out=kb)  # ||q||^2 - squared distances
+        q2 = np.square(q[:, :-1]).sum(axis=1)  # ||q||^2, before the scaling
+        q[:, :-1] /= s2
+        np.matmul(q, A, out=kb)  # (||q||^2 - squared distances) / s2
         lmax = kb.max(axis=1)
-        d2min = np.square(q[:, :-1]).sum(axis=1) - lmax
-        underflowed += np.count_nonzero(np.exp(-d2min / s2) < _TINY)
+        underflowed += np.count_nonzero(np.exp(lmax - q2 / s2) < _TINY)
         kb -= lmax[:, None]
-        kb /= s2
         np.exp(kb, out=kb)
         nd = kb @ Y
         out[start:start + len(q)] = nd[:, 0] / nd[:, 1]

@@ -932,6 +932,38 @@ class TestErrorSurface:
             "settings too large for float arithmetic"]
         assert pools == [2]
 
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("bandwidth, what", [
+        ("1e-200", "divide by zero"),  # 2 bandwidth^2 underflows to 0
+        ("1e-155", "overflow"),  # 2 bandwidth^2 is subnormal, so 1 / it overflows
+    ])
+    def test_kernel_bandwidth_breaks_its_square(self, tmp_path, capsys, monkeypatch,
+                                                bandwidth, what, threaded):
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if threaded:
+            monkeypatch.setattr(kernel, "_BLOCK", 64)
+            monkeypatch.setattr(kernel, "_THREADED", 1)
+        conf = write(tmp_path / "c.ini", f"[eval]\nbandwidth = {bandwidth}\n")
+        out = tmp_path / "o"
+        rc = main(["eval", "--method", "kernel",
+                   "--train-data", make_data_csv(tmp_path / "train.csv", 40),
+                   "--data", make_data_csv(tmp_path / "test.csv", 200, seed=1),
+                   "--target", "y", "--config", conf, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {what} encountered in divide: input values or settings too "
+            "large for float arithmetic"]
+        assert not out.exists()
+        assert pools == ([2] if threaded else [])
+
     @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
     def test_kernel_alpha_checked_before_nw(self, pipeline, tmp_path, capsys,
                                             monkeypatch, alpha):

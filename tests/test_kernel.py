@@ -101,14 +101,16 @@ class TestNWPredict:
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
-    def test_expanded_square_matches_reference(self, offset):
-        # the benchmark's 4 columns and bandwidth; squared distances expanded
-        # as ||q||^2 - 2 q.x + ||x||^2 lose eps (||x|| / sigma)^2 unless the
-        # features are centered, which the 1e4 offset would show
+    @pytest.mark.parametrize("bandwidth", [0.15, 0.3, 2.0])
+    def test_expanded_square_matches_reference(self, offset, bandwidth):
+        # the benchmark's 4 columns, at its bandwidth (0.3) and on both sides
+        # of it; squared distances expanded as ||q||^2 - 2 q.x + ||x||^2 lose
+        # eps (||x|| / sigma)^2 unless the features are centered, which the
+        # 1e4 offset would show. No query's reference weights all underflow.
         rng = RandomSource(13).stream("nw-expanded")
         train = Dataset(rng.uniform(-2, 2, (2000, 4)) + offset, rng.uniform(1, 2, 2000))
         Xq = rng.uniform(-2, 2, (500, 4)) + offset
-        cfg = KernelConfig(0.3)
+        cfg = KernelConfig(bandwidth)
         ref = np.array([reference_nw(train, x, cfg) for x in Xq])
         assert np.max(np.abs(nw_predict(train, Xq, cfg) - ref) / ref) < 1e-12
 
@@ -162,8 +164,8 @@ def pools(monkeypatch):
 
 class TestNWPredictThreads:
     @pytest.mark.parametrize("n, m", [
-        (30, 5000),  # 3 blocks of 2184 queries, the last one short
-        (1000, 1000),  # 16 blocks of 65 queries, the last one short
+        (30, 5000),  # 2 blocks of 4369 queries, the last one short
+        (1000, 1000),  # 8 blocks of 131 queries, the last one short
         (kernel._BLOCK + 7, 5),  # one query per block
     ])
     def test_same_bits_on_any_cpu_count(self, pools, monkeypatch, n, m):
