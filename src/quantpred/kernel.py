@@ -12,15 +12,17 @@ from .numerics import DomainError, check_alpha, cpus, parallel_map
 
 # smallest positive normal double; below this every weight has underflowed
 _TINY = np.finfo(float).tiny
-# kernel values per block of queries: 1 MB, in a core's 4 MiB L2 on a 2-core x86
-# host. There 3 * 10**4 queries on 10**4 rows took 0.51 s at 2**17, 0.69-0.74 s
-# at 2**16 and 1.2-1.3 s at 2**18, where OpenBLAS adds threads for kb @ Y.
+# kernel values per block of queries: 1 MB, in a core's 4 MiB L2 on a 2-core x86 host. There
+# 3 * 10**4 queries on 10**4 rows took 0.36-0.38 s at 2**17, 0.43-0.45 s at 2**16 and 0.89-1.07 s
+# at 2**18, where OpenBLAS adds threads for kb @ Y (0.42-0.48 s with one OpenBLAS thread).
 _BLOCK = 2 ** 17
-# kernel values from which nw_predict spreads its blocks over threads. On a
-# 2-core x86 host a pool of two threads took 0.17 ms to start and join, and
-# 2**24 values in 4 columns, in blocks of 2**17, a median 54 ms serial and
-# 36 ms on two threads; at 10**6, the size of each NW call in demo coverage's
-# forked workers, the gain was lost in the noise, so those calls stay serial.
+# query rows scaled at once, in whole blocks; the run above took 0.38-0.39 s, 0.47-0.52 s a block
+# at a time
+_GROUP = 2 ** 10
+# kernel values from which nw_predict spreads its blocks over threads. On a 2-core x86 host a pool
+# of two threads took 0.17 ms to start and join, and 2**24 values in 4 columns a median 31-46 ms
+# serial and 26-28 ms on two threads; at 10**6, the size of each NW call in demo coverage's forked
+# workers, threads lost (2.4-2.8 against 2.1-2.5 ms), so those calls stay serial.
 _THREADED = 2 ** 24
 
 
@@ -37,13 +39,14 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     """Kernel-weighted averages sum(y_i K(x, x_i)) / sum(K(x, x_i)) at the
     rows x of Xq, with K(x, x') = exp(-||x - x'||^2 / (2 sigma^2)).
 
-    Features and queries are centered on the training mean, so an offset
-    they share cancels. A block's squared distances then come from one
-    matmul: ||q||^2 - ||q - x||^2 = 2 q.x - ||x||^2. Each query's weights
-    are shifted by its nearest squared distance, which cancels in the ratio
-    and makes the nearest weight exactly 1, so a tiny bandwidth gives the
-    nearest target, the formula's limit. Queries whose unshifted weights
-    would all underflow trigger a RuntimeWarning.
+    Features and queries are centered on the training mean, so an offset they share
+    cancels. A block's weights exp(-||q - x||^2 / s2), s2 = 2 sigma^2, then come from
+    one matmul, [q / s2, 1 / s2, -||q||^2 / s2] times [2 x, -||x||^2, 1], and one exp.
+    Each is at most 1; where a query's weights sum to at least 1, the largest is at
+    least 1/n and the ratio keeps full precision. Other queries are redone with weights
+    shifted by their nearest squared distance, which cancels in the ratio and makes
+    the nearest weight exactly 1, so a tiny bandwidth gives the nearest target, the
+    formula's limit. Queries whose weights all underflow trigger a RuntimeWarning.
 
     From _THREADED kernel values on, the blocks go in one run per available
     CPU to threads of parallel_map; every block holds the queries of the
@@ -59,7 +62,7 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     s2 = 2.0 * config.bandwidth ** 2
     c = X.mean(axis=0)
     XcT = np.ascontiguousarray((X - c).T)
-    A = np.vstack([2.0 * XcT, -np.square(XcT).sum(axis=0)])
+    A = np.vstack([2.0 * XcT, -np.square(XcT).sum(axis=0), np.ones(n)])
     Y = np.vstack([y, np.ones(n)]).T  # column-major: the faster gemm operand
     rows = max(1, _BLOCK // n)
     out = np.empty(Q.shape[0])
@@ -81,21 +84,33 @@ def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b):
     had all their unshifted weights underflow. Calls only numpy, so it may
     run on any thread."""
     k = np.empty((min(rows, b - a), A.shape[1]))
-    # [(q - c) / s2, 1 / s2] per row; numpy's divide obeys the caller's errstate
-    qa = np.full((k.shape[0], A.shape[0]), np.divide(1.0, s2))
+    # [(q - c) / s2, 1 / s2, -||q - c||^2 / s2] per row, for a group of blocks;
+    # numpy's divides obey the caller's errstate, and 1 / s2 comes first
+    qa = np.full((min(rows * max(1, _GROUP // rows), b - a), A.shape[0]), np.divide(1.0, s2))
+    nds = np.empty((len(qa), 2))
     underflowed = 0
-    for start in range(a, b, rows):
-        kb, q = k[:b - start], qa[:b - start]  # the last block may be short
-        np.subtract(Q[start:start + len(q)], c, out=q[:, :-1])
-        q2 = np.square(q[:, :-1]).sum(axis=1)  # ||q||^2, before the scaling
-        q[:, :-1] /= s2
-        np.matmul(q, A, out=kb)  # (||q||^2 - squared distances) / s2
-        lmax = kb.max(axis=1)
-        underflowed += np.count_nonzero(np.exp(lmax - q2 / s2) < _TINY)
-        kb -= lmax[:, None]
-        np.exp(kb, out=kb)
-        nd = kb @ Y
-        out[start:start + len(q)] = nd[:, 0] / nd[:, 1]
+    for g in range(a, b, len(qa)):
+        q, nd = qa[:b - g], nds[:b - g]  # the last group may be short
+        np.subtract(Q[g:g + len(q)], c, out=q[:, :-2])
+        np.divide(np.square(q[:, :-2]).sum(axis=1), -s2, out=q[:, -1])
+        q[:, :-2] /= s2
+        for s in range(0, len(q), rows):
+            kb = k[:len(q) - s]  # the last block may be short
+            np.matmul(q[s:s + rows], A, out=kb)  # -||q - x||^2 / s2
+            np.exp(kb, out=kb)
+            np.matmul(kb, Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i) per row
+        low = nd[:, 1] < 1
+        if low.any():
+            for s in range(0, len(q), rows):
+                r = s + np.flatnonzero(low[s:s + rows])  # one block's low rows
+                kb = k[:len(r)]
+                np.matmul(q[r], A, out=kb)
+                lmax = kb.max(axis=1)
+                underflowed += np.count_nonzero(np.exp(lmax) < _TINY)
+                kb -= lmax[:, None]
+                np.exp(kb, out=kb)
+                nd[r] = kb @ Y
+        np.divide(nd[:, 0], nd[:, 1], out=out[g:g + len(q)])
     return underflowed
 
 

@@ -78,10 +78,11 @@ class TestNWEstimate:
 
 
 def reference_nw(train, x, config):
-    """One query at a time, unshifted weights: sum(y K) / sum(K)."""
-    diff = train.features - np.asarray(x, dtype=float)[None, :]
-    k = np.exp(-np.einsum("ij,ij->i", diff, diff) / (2.0 * config.bandwidth ** 2))
-    return float(np.dot(k, train.targets) / k.sum())
+    """One query at a time, unshifted weights: sum(y K) / sum(K), in long
+    double where the platform has it."""
+    diff = train.features.astype(np.longdouble) - np.asarray(x, dtype=np.longdouble)
+    k = np.exp(-np.einsum("ij,ij->i", diff, diff) / (2 * np.longdouble(config.bandwidth) ** 2))
+    return float(np.dot(k, train.targets.astype(np.longdouble)) / k.sum())
 
 
 class TestNWPredict:
@@ -126,6 +127,26 @@ class TestNWPredict:
         with pytest.warns(RuntimeWarning, match="all kernel weights underflowed"):
             got = nw_predict(train, Xq, KernelConfig(1e-3))
         assert got.tolist() == train.targets[nearest].tolist()
+
+    def test_isolated_nearest_point_gives_its_target(self):
+        # 50 points in a 100 x 100 square and queries within 0.5 of one, at
+        # bandwidth 0.05: where the next point is farther by more than 746 in
+        # d^2 / s2, its weight and every other is exactly 0, so the estimate is
+        # the nearest target itself. An unshifted nearest weight w < 1 would
+        # give y w / w, an ulp off for about one w in ten.
+        rng = RandomSource(15).stream("nw-isolated")
+        s2 = 2 * 0.05 ** 2
+        isolated = 0
+        for _ in range(300):
+            train = Dataset(rng.uniform(-50, 50, (50, 2)), rng.standard_normal(50))
+            nearest = rng.integers(0, 50, 50)
+            Xq = train.features[nearest] + rng.uniform(-0.35, 0.35, (50, 2))
+            d2 = np.sort(np.square(Xq[:, None] - train.features).sum(axis=2), axis=1)
+            keep = d2[:, 1] - d2[:, 0] > 746 * s2
+            got = nw_predict(train, Xq[keep], KernelConfig(0.05))
+            assert got.tolist() == train.targets[nearest[keep]].tolist()
+            isolated += keep.sum()
+        assert isolated > 10000
 
     def test_warns_only_for_underflowing_queries(self):
         train = Dataset([[0.5, 0.5]], [4.2])
@@ -187,6 +208,38 @@ class TestNWPredictThreads:
             sys.setswitchinterval(interval)
         blocks = -(-m // max(1, kernel._BLOCK // n))
         assert pools == [min(k, blocks) for k in (2, 3, 8)]
+
+    def test_blocks_with_weight_sums_on_both_sides_of_1(self, pools, monkeypatch):
+        # 5 blocks of 131 queries, the last one short: in each, some queries'
+        # weights sum to at least 1 and are divided as they are, others'
+        # sum to less and are shifted first; the far queries underflow
+        rng = RandomSource(16).stream("nw-mixed")
+        n, m, far = 1000, 600, [3, 140, 141, 599]
+        train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
+        Xq = rng.uniform(-2, 2, (m, 3))
+        Xq[far] += 100.0
+        cfg = KernelConfig(0.16)
+        sums = np.array([np.exp(-np.square(train.features - x).sum(axis=1)
+                                / (2 * 0.16 ** 2)).sum() for x in Xq])
+        rows = kernel._BLOCK // n
+        for start in range(0, m, rows):
+            block = sums[start:start + rows]
+            assert (block < 0.9).any() and (block > 1.1).any()
+        assert np.flatnonzero(sums == 0).tolist() == far
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 2, 3, 8):
+                set_cpus(monkeypatch, k)
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    got.append(nw_predict(train, Xq, cfg).tobytes())
+                assert [str(w.message) for w in seen] == [
+                    f"all kernel weights underflowed for {len(far)} of {m} queries"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == got[:1] * 4 and pools == [2, 3, 5]
 
     @pytest.mark.parametrize("threaded", [0, 1])
     def test_no_queries_on_the_threaded_path(self, pools, monkeypatch, threaded):
