@@ -16,13 +16,11 @@ _TINY = np.finfo(float).tiny
 # 3 * 10**4 queries on 10**4 rows took 0.36-0.38 s at 2**17, 0.43-0.45 s at 2**16 and 0.89-1.07 s
 # at 2**18, where OpenBLAS adds threads for kb @ Y (0.42-0.48 s with one OpenBLAS thread).
 _BLOCK = 2 ** 17
-# query rows scaled at once, in whole blocks; the run above took 0.38-0.39 s, 0.47-0.52 s a block
-# at a time
+# query rows scaled at once, in whole blocks (above: 0.38-0.39 s; a block at a time, 0.47-0.52 s)
 _GROUP = 2 ** 10
-# kernel values from which nw_predict spreads its blocks over threads. On a 2-core x86 host a pool
-# of two threads took 0.17 ms to start and join, and 2**24 values in 4 columns a median 31-46 ms
-# serial and 26-28 ms on two threads; at 10**6, the size of each NW call in demo coverage's forked
-# workers, threads lost (2.4-2.8 against 2.1-2.5 ms), so those calls stay serial.
+# kernel values from which nw_predict spreads its blocks over threads. On a 2-core x86 host 2**24
+# values in 4 columns took 31-46 ms serial and 26-28 ms on two threads; 10**6, the size of each NW
+# call in demo coverage's forked workers, 2.1-2.5 ms serial and 2.4-2.8 ms threaded, so serial.
 _THREADED = 2 ** 24
 
 
@@ -39,14 +37,15 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     """Kernel-weighted averages sum(y_i K(x, x_i)) / sum(K(x, x_i)) at the
     rows x of Xq, with K(x, x') = exp(-||x - x'||^2 / (2 sigma^2)).
 
-    Features and queries are centered on the training mean, so an offset they share
-    cancels. A block's weights exp(-||q - x||^2 / s2), s2 = 2 sigma^2, then come from
-    one matmul, [q / s2, 1 / s2, -||q||^2 / s2] times [2 x, -||x||^2, 1], and one exp.
-    Each is at most 1; where a query's weights sum to at least 1, the largest is at
-    least 1/n and the ratio keeps full precision. Other queries are redone with weights
-    shifted by their nearest squared distance, which cancels in the ratio and makes
-    the nearest weight exactly 1, so a tiny bandwidth gives the nearest target, the
-    formula's limit. Queries whose weights all underflow trigger a RuntimeWarning.
+    Features and queries are centered on the training mean, so an offset they share cancels.
+    A block's weights exp(-||q - x||^2 / s2), s2 = 2 sigma^2, then come from one matmul,
+    [q / s2, 1 / s2, -||q||^2 / s2] times [2 x, -||x||^2, 1], and one exp. Each is at most 1
+    up to rounding: where they sum to between 1 and n, the largest is at least 1/n and the
+    ratio keeps full precision. Other queries are redone with weights shifted by their
+    nearest squared distance, making the nearest weight 1, so a tiny bandwidth gives the
+    nearest target; if the first query's weights are shifted, every query's are.
+    Unshifted, a query on an isolated training point may land an ulp off its target at
+    bandwidths below about 1e-7 of the data's spread. Queries whose weights all underflow warn.
 
     From _THREADED kernel values on, the blocks go in one run per available
     CPU to threads of parallel_map; every block holds the queries of the
@@ -66,11 +65,15 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     Y = np.vstack([y, np.ones(n)]).T  # column-major: the faster gemm operand
     rows = max(1, _BLOCK // n)
     out = np.empty(Q.shape[0])
+    # shifting all of 3 * 10**4 queries on 10**4 rows was faster where 30% needed it, slower at
+    # 9%; the first query samples that share (a whole block added 1 MB to eval's peak RSS)
+    with np.errstate(all="ignore"):  # only picks the path; the runs obey the caller
+        shift = len(Q) > 0 and _nw_blocks(A, Y, Q, c, s2, 1, out, 0, 1)[1] > 0
     blocks = max(1, -(-Q.shape[0] // rows))  # no queries make one empty block
     runs = min(cpus(), blocks) if n * Q.shape[0] >= _THREADED else 1
     per = -(-blocks // runs) * rows
-    underflowed = sum(parallel_map(
-        lambda a: _nw_blocks(A, Y, Q, c, s2, rows, out, a, min(a + per, Q.shape[0])),
+    underflowed = sum(u for u, _ in parallel_map(
+        lambda a: _nw_blocks(A, Y, Q, c, s2, rows, out, a, min(a + per, Q.shape[0]), shift),
         range(0, Q.shape[0], per)))
     if underflowed:
         warnings.warn(f"all kernel weights underflowed for {underflowed} of "
@@ -78,40 +81,37 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     return out
 
 
-def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b):
-    """nw_predict's loop over the blocks of `rows` queries from row a of Q,
-    up to row b: their estimates go to out[a:b]; returns how many of them
-    had all their unshifted weights underflow. Calls only numpy, so it may
+def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b, shift=False):
+    """nw_predict's loop over the blocks of `rows` queries from row a of Q, up to
+    row b: their estimates go to out[a:b]. Shifts every query's weights with shift,
+    else those of queries whose weights sum outside [1, n]; returns how many had all
+    their weights underflow and how many were shifted. Calls only numpy, so it may
     run on any thread."""
     k = np.empty((min(rows, b - a), A.shape[1]))
-    # [(q - c) / s2, 1 / s2, -||q - c||^2 / s2] per row, for a group of blocks;
-    # numpy's divides obey the caller's errstate, and 1 / s2 comes first
+    # [(q - c) / s2, 1 / s2, -||q - c||^2 / s2] per row of a group of blocks; 1 / s2 is the
+    # first divide, and numpy's divides obey the caller's errstate
     qa = np.full((min(rows * max(1, _GROUP // rows), b - a), A.shape[0]), np.divide(1.0, s2))
     nds = np.empty((len(qa), 2))
-    underflowed = 0
+    underflowed = shifted = 0
     for g in range(a, b, len(qa)):
         q, nd = qa[:b - g], nds[:b - g]  # the last group may be short
         np.subtract(Q[g:g + len(q)], c, out=q[:, :-2])
         np.divide(np.square(q[:, :-2]).sum(axis=1), -s2, out=q[:, -1])
         q[:, :-2] /= s2
-        for s in range(0, len(q), rows):
-            kb = k[:len(q) - s]  # the last block may be short
-            np.matmul(q[s:s + rows], A, out=kb)  # -||q - x||^2 / s2
-            np.exp(kb, out=kb)
-            np.matmul(kb, Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i) per row
-        low = nd[:, 1] < 1
-        if low.any():
-            for s in range(0, len(q), rows):
-                r = s + np.flatnonzero(low[s:s + rows])  # one block's low rows
-                kb = k[:len(r)]
-                np.matmul(q[r], A, out=kb)
-                lmax = kb.max(axis=1)
-                underflowed += np.count_nonzero(np.exp(lmax) < _TINY)
-                kb -= lmax[:, None]
-                np.exp(kb, out=kb)
-                nd[r] = kb @ Y
+        for s in range(0, 0 if shift else len(q), rows):  # the last block may be short
+            kb = np.matmul(q[s:s + rows], A, out=k[:len(q) - s])  # -||q - x||^2 / s2
+            np.matmul(np.exp(kb, out=kb), Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i)
+        low = shift | ~((nd[:, 1] >= 1) & (nd[:, 1] <= A.shape[1]))  # NaN too
+        shifted += np.count_nonzero(low)
+        for s in range(0, len(q), rows) if low.any() else ():
+            r = s + np.flatnonzero(low[s:s + rows])  # picked per block, as on one CPU
+            kb = np.matmul(q[r], A, out=k[:len(r)])
+            lmax = kb.max(axis=1)
+            underflowed += np.count_nonzero(np.exp(lmax) < _TINY)
+            kb -= lmax[:, None]
+            nd[r] = np.exp(kb, out=kb) @ Y
         np.divide(nd[:, 0], nd[:, 1], out=out[g:g + len(q)])
-    return underflowed
+    return underflowed, shifted
 
 
 def nw_estimate(train, x, config: KernelConfig) -> float:

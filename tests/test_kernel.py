@@ -133,20 +133,60 @@ class TestNWPredict:
         # bandwidth 0.05: where the next point is farther by more than 746 in
         # d^2 / s2, its weight and every other is exactly 0, so the estimate is
         # the nearest target itself. An unshifted nearest weight w < 1 would
-        # give y w / w, an ulp off for about one w in ten.
+        # give y w / w, an ulp off for about one w in ten. 160 queries on 8
+        # copies of (100, 100), whose weights sum to 8, keep each call on the
+        # unshifted pass, from which the isolated queries are redone.
         rng = RandomSource(15).stream("nw-isolated")
         s2 = 2 * 0.05 ** 2
         isolated = 0
         for _ in range(300):
-            train = Dataset(rng.uniform(-50, 50, (50, 2)), rng.standard_normal(50))
-            nearest = rng.integers(0, 50, 50)
-            Xq = train.features[nearest] + rng.uniform(-0.35, 0.35, (50, 2))
-            d2 = np.sort(np.square(Xq[:, None] - train.features).sum(axis=2), axis=1)
+            X = np.vstack([np.full((8, 2), 100.0), rng.uniform(-50, 50, (50, 2))])
+            train = Dataset(X, np.r_[np.zeros(8), rng.standard_normal(50)])
+            nearest = rng.integers(8, 58, 50)
+            Xq = X[nearest] + rng.uniform(-0.35, 0.35, (50, 2))
+            d2 = np.sort(np.square(Xq[:, None] - X).sum(axis=2), axis=1)
             keep = d2[:, 1] - d2[:, 0] > 746 * s2
-            got = nw_predict(train, Xq[keep], KernelConfig(0.05))
-            assert got.tolist() == train.targets[nearest[keep]].tolist()
+            got = nw_predict(train, np.vstack([np.full((160, 2), 100.0), Xq[keep]]),
+                             KernelConfig(0.05))
+            assert got.tolist() == [0.0] * 160 + train.targets[nearest[keep]].tolist()
             isolated += keep.sum()
         assert isolated > 10000
+
+    def test_weight_past_overflow_is_shifted(self):
+        # at bandwidth 1e-10 the gemm's rounding moves a log-weight by thousands,
+        # so on a training point away from the mean it can pass 709, where exp
+        # overflows; such a query is shifted and gives its own target. Queries on
+        # the 10 copies of the mean weigh them 1 and keep the unshifted pass.
+        rng = RandomSource(17).stream("nw-overflow")
+        away = rng.uniform(-1, 1, (8, 2))
+        train = Dataset(np.vstack([np.zeros((10, 2)), away, -away]),
+                        np.r_[np.full(10, 5.0), rng.standard_normal(16)])
+        Xq = np.vstack([np.zeros((64, 2)), away, -away])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            nw_predict(train, Xq, KernelConfig(1e-10))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            # rounding also puts some nearest log-weights far below 0: underflow
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = nw_predict(train, Xq, KernelConfig(1e-10))
+        want = np.r_[np.full(64, 5.0), train.targets[10:]]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n, shifted", [(30, True), (200, False), (1000, False)])
+    def test_first_query_picks_the_path(self, monkeypatch, n, shifted):
+        # the first query's weights sum to 0.66 on 30 rows, so every query is
+        # shifted; 1.9 on 200 rows and 11.7 on 1000, so only those below 1 are
+        picked = []
+        nw_blocks = kernel._nw_blocks
+
+        def recording(A, Y, Q, c, s2, rows, out, a, b, shift=False):
+            picked.append(shift)
+            return nw_blocks(A, Y, Q, c, s2, rows, out, a, b, shift)
+
+        monkeypatch.setattr(kernel, "_nw_blocks", recording)
+        rng = RandomSource(12).stream("nw-threads")
+        train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
+        nw_predict(train, rng.uniform(-2, 2, (3000, 3)), KernelConfig(0.4))
+        assert picked == [False, shifted]
 
     def test_warns_only_for_underflowing_queries(self):
         train = Dataset([[0.5, 0.5]], [4.2])
@@ -184,49 +224,32 @@ def pools(monkeypatch):
 
 
 class TestNWPredictThreads:
-    @pytest.mark.parametrize("n, m", [
-        (30, 5000),  # 2 blocks of 4369 queries, the last one short
-        (1000, 1000),  # 8 blocks of 131 queries, the last one short
-        (kernel._BLOCK + 7, 5),  # one query per block
-    ])
-    def test_same_bits_on_any_cpu_count(self, pools, monkeypatch, n, m):
+    @pytest.mark.parametrize("n, m, far", [
+        (30, 5000, []),  # 2 blocks of 4369 queries, the last one short
+        (1000, 1000, []),  # 8 blocks of 131 queries, the last one short
+        (kernel._BLOCK + 7, 5, []),  # one query per block
+        # 5 blocks of 655 queries, the last one short, far queries in 3 of them
+        (200, 3000, [3, 654, 655, 2999]),
+    ], ids=["30-5000", "1000-1000", f"{kernel._BLOCK + 7}-5", "200-3000-far"])
+    def test_same_bits_on_any_cpu_count(self, pools, monkeypatch, n, m, far):
+        # at 30 rows the first query's weights sum below 1, so every query is
+        # shifted; at 200 they do not, and in each block some queries' weights
+        # sum below 1 and are shifted, and the far ones underflow
         rng = RandomSource(12).stream("nw-threads")
         train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
         Xq = rng.uniform(-2, 2, (m, 3))
-        cfg = KernelConfig(0.4)
-        set_cpus(monkeypatch, 1)
-        serial = nw_predict(train, Xq, cfg)
-        assert pools == []
-        # 8 threads, likely more than there are cores, switching often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for k in (2, 3, 8):
-                set_cpus(monkeypatch, k)
-                assert nw_predict(train, Xq, cfg).tobytes() == serial.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        blocks = -(-m // max(1, kernel._BLOCK // n))
-        assert pools == [min(k, blocks) for k in (2, 3, 8)]
-
-    def test_blocks_with_weight_sums_on_both_sides_of_1(self, pools, monkeypatch):
-        # 5 blocks of 131 queries, the last one short: in each, some queries'
-        # weights sum to at least 1 and are divided as they are, others'
-        # sum to less and are shifted first; the far queries underflow
-        rng = RandomSource(16).stream("nw-mixed")
-        n, m, far = 1000, 600, [3, 140, 141, 599]
-        train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
-        Xq = rng.uniform(-2, 2, (m, 3))
         Xq[far] += 100.0
-        cfg = KernelConfig(0.16)
-        sums = np.array([np.exp(-np.square(train.features - x).sum(axis=1)
-                                / (2 * 0.16 ** 2)).sum() for x in Xq])
-        rows = kernel._BLOCK // n
-        for start in range(0, m, rows):
-            block = sums[start:start + rows]
-            assert (block < 0.9).any() and (block > 1.1).any()
-        assert np.flatnonzero(sums == 0).tolist() == far
+        cfg = KernelConfig(0.4)
+        if far:
+            sums = np.exp(-np.square(Xq[:, None] - train.features).sum(axis=2) / 0.32).sum(axis=1)
+            rows = kernel._BLOCK // n
+            assert sums[0] > 1.1
+            for s in range(0, m, rows):
+                assert (sums[s:s + rows] < 0.9).any() and (sums[s:s + rows] > 1.1).any()
+            assert np.flatnonzero(sums == 0).tolist() == far
+        warned = [f"all kernel weights underflowed for {len(far)} of {m} queries"] * bool(far)
         got = []
+        # 8 threads, likely more than there are cores, switching often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -235,11 +258,12 @@ class TestNWPredictThreads:
                 with warnings.catch_warnings(record=True) as seen:
                     warnings.simplefilter("always")
                     got.append(nw_predict(train, Xq, cfg).tobytes())
-                assert [str(w.message) for w in seen] == [
-                    f"all kernel weights underflowed for {len(far)} of {m} queries"]
+                assert [str(w.message) for w in seen] == warned
         finally:
             sys.setswitchinterval(interval)
-        assert got == got[:1] * 4 and pools == [2, 3, 5]
+        assert got == got[:1] * 4
+        blocks = -(-m // max(1, kernel._BLOCK // n))
+        assert pools == [min(k, blocks) for k in (2, 3, 8)]
 
     @pytest.mark.parametrize("threaded", [0, 1])
     def test_no_queries_on_the_threaded_path(self, pools, monkeypatch, threaded):
