@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import conformal, experiments, kernel, qnn
-from .experiments import _CHUNK_ROWS, fmt, write_csv
+from .experiments import _CHUNK_ROWS, write_csv
 from .numerics import DomainError, check_alpha
 
 
@@ -91,15 +91,8 @@ def _loadtxt_runs(fh, width):
 
 
 def _parse_rows(path, header, rows, line):
-    """rows, the first on the given line, as one float array; a ragged row,
-    a cell float() rejects and a non-finite value are errors naming the
-    line and column. One bulk conversion serves rows without such a cell."""
-    try:
-        data = np.array(rows, dtype=float)
-        if data.shape == (len(rows), len(header)) and np.isfinite(data).all():
-            return data
-    except ValueError:
-        pass
+    """rows, the first on the given line, as a float array of float() of each cell; a ragged
+    row, a cell float() rejects and a non-finite value are errors naming the line and column."""
     data = np.empty((len(rows), len(header)))
     for r, row in enumerate(rows, start=line):
         if len(row) != len(header):
@@ -314,17 +307,16 @@ def cmd_predict(args, cfg):
                     else np.array([alpha / 2, 0.5, 1 - alpha / 2])))
     # one network pass gives the quantile columns and the interval's two
     q = net.quantiles_at(X, levels, None if cal is None else alpha)
-    names = ["row"] + [f"q{fmt(t)}" for t in levels]
+    names = ["row"] + [f"q{t}" for t in levels]
     if cal is not None:
         q[:, -2], q[:, -1] = conformal.conformalize(q[:, -2], q[:, -1], cal.qhat)
         names += ["lower", "upper"]
 
-    # Python floats for one block of rows at a time, not for the whole table;
-    # the cells are ints and floats, whose fmt is repr
+    # Python floats for one block of rows at a time, not for the whole table
     rows = itertools.chain.from_iterable(
         q[start:start + _CHUNK_ROWS].tolist() for start in range(0, len(q), _CHUNK_ROWS))
     write_csv(os.path.join(args.out, "predictions.csv"), names,
-              ([i, *row] for i, row in enumerate(rows)), cell=repr)
+              ([i, *row] for i, row in enumerate(rows)))
 
 
 def cmd_eval(args, cfg):

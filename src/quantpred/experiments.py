@@ -16,25 +16,20 @@ from . import analytic, conformal, kernel, qnn
 from .numerics import DomainError, RandomSource, check_alpha, normal_pdf, normal_cdf, parallel_map
 
 
-def fmt(v):
-    """A CSV cell: ints and strings as they are, any other number as the
-    shortest text that reads back as the same float."""
-    return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
-
-
 # rows per fh.write of write_csv, per np.loadtxt call and per csv.reader block
 # in cli.ingest_features, and per block of predictions.csv rows converted to
 # Python floats
 _CHUNK_ROWS = 1024
 
 
-def write_csv(path, header, rows, cell=fmt):
+def write_csv(path, header, rows):
     """A headed CSV file, one line per row of cells, _CHUNK_ROWS rows a write.
-    cell writes one cell; repr is fmt for rows of Python ints and floats."""
+    A cell is its str: a float's, Python's or numpy's, is the shortest text
+    that reads back as the same float."""
     rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := "".join(",".join(map(cell, r)) + "\n"
+        while chunk := "".join(",".join(map(str, r)) + "\n"
                                for r in itertools.islice(rows, _CHUNK_ROWS)):
             fh.write(chunk)
 

@@ -10,8 +10,8 @@ import numpy as np
 from . import conformal
 from .numerics import DomainError, check_alpha, cpus, parallel_map
 
-# smallest positive normal double; below this every weight has underflowed
-_TINY = np.finfo(float).tiny
+# log of the smallest positive normal double; a largest log-weight below it means all underflow
+_LOG_TINY = np.log(np.finfo(float).tiny)
 # kernel values per block of queries: 1 MB, in a core's 4 MiB L2 on a 2-core x86 host. There
 # 3 * 10**4 queries on 10**4 rows took 0.36-0.38 s at 2**17, 0.43-0.45 s at 2**16 and 0.89-1.07 s
 # at 2**18, where OpenBLAS adds threads for kb @ Y (0.42-0.48 s with one OpenBLAS thread).
@@ -41,11 +41,12 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     A block's weights exp(-||q - x||^2 / s2), s2 = 2 sigma^2, then come from one matmul,
     [q / s2, 1 / s2, -||q||^2 / s2] times [2 x, -||x||^2, 1], and one exp. Each is at most 1
     up to rounding: where they sum to between 1 and n, the largest is at least 1/n and the
-    ratio keeps full precision. Other queries are redone with weights shifted by their
-    nearest squared distance, making the nearest weight 1, so a tiny bandwidth gives the
-    nearest target; if the first query's weights are shifted, every query's are.
-    Unshifted, a query on an isolated training point may land an ulp off its target at
-    bandwidths below about 1e-7 of the data's spread. Queries whose weights all underflow warn.
+    ratio keeps full precision. Other queries, overflowed ones too, are redone with weights
+    shifted by their nearest squared distance, making the nearest weight 1, so a tiny
+    bandwidth gives the nearest target; if the first query's weights are shifted, every
+    query's are. Unshifted, a query on an isolated training point may land an ulp off its
+    target below about 1e-7 of the data's spread. Queries whose weights all underflow warn;
+    below about 1e-9, the expanded square's rounding can count queries on a training point.
 
     From _THREADED kernel values on, the blocks go in one run per available
     CPU to threads of parallel_map; every block holds the queries of the
@@ -98,16 +99,17 @@ def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b, shift=False):
         np.subtract(Q[g:g + len(q)], c, out=q[:, :-2])
         np.divide(np.square(q[:, :-2]).sum(axis=1), -s2, out=q[:, -1])
         q[:, :-2] /= s2
-        for s in range(0, 0 if shift else len(q), rows):  # the last block may be short
-            kb = np.matmul(q[s:s + rows], A, out=k[:len(q) - s])  # -||q - x||^2 / s2
-            np.matmul(np.exp(kb, out=kb), Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum is redone below
+            for s in range(0, 0 if shift else len(q), rows):  # the last block may be short
+                kb = np.matmul(q[s:s + rows], A, out=k[:len(q) - s])  # -||q - x||^2 / s2
+                np.matmul(np.exp(kb, out=kb), Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i)
         low = shift | ~((nd[:, 1] >= 1) & (nd[:, 1] <= A.shape[1]))  # NaN too
         shifted += np.count_nonzero(low)
         for s in range(0, len(q), rows) if low.any() else ():
             r = s + np.flatnonzero(low[s:s + rows])  # picked per block, as on one CPU
             kb = np.matmul(q[r], A, out=k[:len(r)])
             lmax = kb.max(axis=1)
-            underflowed += np.count_nonzero(np.exp(lmax) < _TINY)
+            underflowed += np.count_nonzero(lmax < _LOG_TINY)
             kb -= lmax[:, None]
             nd[r] = np.exp(kb, out=kb) @ Y
         np.divide(nd[:, 0], nd[:, 1], out=out[g:g + len(q)])

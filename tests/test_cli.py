@@ -432,7 +432,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_predictions_cell_format(self, pipeline, tmp_path, monkeypatch, calibrated):
-        # the bytes fmt gives each cell, on values at the edges of repr's
+        # the bytes fmt below gives each cell, on values at the edges of repr's
         # forms, across blocks of 16 rows
         values = [-0.0, 0.0, 5e-324, 1e-300, 1e-05, 0.0001, 1.0, 1e16, 1e300]
         values += [-v for v in values[1:]]
@@ -452,9 +452,14 @@ class TestPipeline:
                             if calibrated else [])) == 0
         q = quantiles_at(None, range(120), [0.05, 0.5, 0.95], 0.1 if calibrated else None)
         header = "row,q0.05,q0.5,q0.95" + (",lower,upper" if calibrated else "")
-        # the writer before repr: fmt on every cell
+
+        def fmt(v):
+            """ints and strings as they are, any other number as the shortest
+            text that reads back as the same float"""
+            return v if isinstance(v, str) else str(v) if isinstance(v, int) else repr(float(v))
+
         expected = "".join([header + "\n"] + [
-            ",".join(map(experiments.fmt, [i, *row])) + "\n"
+            ",".join(map(fmt, [i, *row])) + "\n"
             for i, row in enumerate(q.tolist())])
         assert (out / "predictions.csv").read_bytes() == expected.encode()
         assert {cell for line in expected.splitlines()[1:]
@@ -630,6 +635,19 @@ class TestPipeline:
                          "--out", str(tmp_path / where)]) == 0
             out[where] = (tmp_path / where / "eval.csv").read_bytes()
         assert out["first"] == out["last"]
+
+    @pytest.mark.parametrize("bandwidth", ["1e-9", "1e-12"])
+    @pytest.mark.filterwarnings("ignore:all kernel weights underflowed")
+    def test_eval_kernel_of_a_file_on_itself(self, tmp_path, capsys, bandwidth):
+        # the expanded square's rounding can lift a fitting row's log-weight on
+        # itself past exp's overflow, and such a row is redone shifted; the odd
+        # rows it calibrates on are far enough for all their weights to underflow
+        data = self._two_feature_csv(tmp_path / "data.csv", ("x1", "x2", "y"), 1)
+        conf = write(tmp_path / "bw.ini", f"[eval]\nbandwidth = {bandwidth}\n")
+        rc = main(["eval", "--method", "kernel", "--train-data", data, "--data", data,
+                   "--target", "y", "--config", conf, "--out", str(tmp_path / "e")])
+        assert "error:" not in capsys.readouterr().err
+        assert rc == 0
 
     @pytest.mark.parametrize("command", ["calibrate", "eval", "predict"])
     def test_predict_feature_mismatch(self, pipeline, tmp_path, capsys, command):

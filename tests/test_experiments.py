@@ -166,6 +166,12 @@ class TestWriteCsv:
         experiments.write_csv(path, ["s", "i", "f"],
                               [("a", 3, np.float64(0.1)), ("b", -1, 1e300 / 3)])
         assert path.read_text() == f"s,i,f\na,3,0.1\nb,-1,{1e300 / 3!r}\n"
+        # numpy's floats and Python's alike, at the edges of repr's forms
+        values = [-0.0, 0.0, 5e-324, 1e-300, 1e-05, 0.0001, 1.0, 1e16, 1e300]
+        values += [-v for v in values[1:]]
+        experiments.write_csv(path, ["numpy", "python"], [(np.float64(v), v) for v in values])
+        assert path.read_text() == "numpy,python\n" + "".join(
+            f"{repr(float(v))},{repr(float(v))}\n" for v in values)
 
 
 class TestCoverageBenchConfig:

@@ -155,20 +155,23 @@ class TestNWPredict:
     def test_weight_past_overflow_is_shifted(self):
         # at bandwidth 1e-10 the gemm's rounding moves a log-weight by thousands,
         # so on a training point away from the mean it can pass 709, where exp
-        # overflows; such a query is shifted and gives its own target. Queries on
-        # the 10 copies of the mean weigh them 1 and keep the unshifted pass.
+        # overflows; such a query is shifted and gives its own target, with no
+        # error under the caller's errstate. Queries on the 10 copies of the mean
+        # weigh them 1 and keep the unshifted pass.
         rng = RandomSource(17).stream("nw-overflow")
         away = rng.uniform(-1, 1, (8, 2))
         train = Dataset(np.vstack([np.zeros((10, 2)), away, -away]),
                         np.r_[np.full(10, 5.0), rng.standard_normal(16)])
         Xq = np.vstack([np.zeros((64, 2)), away, -away])
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            nw_predict(train, Xq, KernelConfig(1e-10))
+        want = np.r_[np.full(64, 5.0), train.targets[10:]]
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nw_predict(train, Xq, KernelConfig(1e-10)).tolist() == want.tolist()
         with np.errstate(over="ignore"), warnings.catch_warnings():
             # rounding also puts some nearest log-weights far below 0: underflow
             warnings.simplefilter("ignore", RuntimeWarning)
             got = nw_predict(train, Xq, KernelConfig(1e-10))
-        want = np.r_[np.full(64, 5.0), train.targets[10:]]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n, shifted", [(30, True), (200, False), (1000, False)])
