@@ -31,7 +31,7 @@ def ingest_features(path) -> tuple:
     numpy's C parser converts the rows in runs of _CHUNK_ROWS lines; a file
     with a run it does not take whole is read again through csv.reader, so
     the values are float()'s and an error: line names the line and column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, chunks = _read(path, fh, bulk=True)
         if chunks is None:
             fh.seek(0)
@@ -189,7 +189,7 @@ def load_config(path=None):
         return cfg
     parser = configparser.ConfigParser()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         items = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -297,7 +297,7 @@ def cmd_predict(args, cfg):
     alpha = float(cfg["alpha"])
     net = _load_model(args.model)
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
-    if cal is None:  # quantiles_at checks it on the interval path
+    if cal is None:  # forward_batch checks it on the interval path
         check_alpha(alpha)
     X, names = _split(*ingest_features(args.data), args.target)
     _check_features(args.data, names, args.model, net.features)
@@ -306,7 +306,7 @@ def cmd_predict(args, cfg):
               else (net.grid.levels if net.grid is not None
                     else np.array([alpha / 2, 0.5, 1 - alpha / 2])))
     # one network pass gives the quantile columns and the interval's two
-    q = net.quantiles_at(X, levels, None if cal is None else alpha)
+    q = net.forward_batch(X, levels, None if cal is None else alpha)
     names = ["row"] + [f"q{t}" for t in levels]
     if cal is not None:
         q[:, -2], q[:, -1] = conformal.conformalize(q[:, -2], q[:, -1], cal.qhat)

@@ -54,14 +54,6 @@ class QuantileGrid:
     def __len__(self):
         return self.levels.size
 
-    def index_of(self, tau):
-        hits = np.nonzero(np.abs(self.levels - tau) <= 1e-9)[0]
-        if hits.size == 0:
-            raise DomainError(
-                f"level {tau} not on the grid; available: {self.levels.tolist()}"
-            )
-        return int(hits[0])
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -237,9 +229,6 @@ class QuantileNetwork:
         """The live views of theta, in gradient order."""
         return list(self._params)
 
-    def _standardize(self, X):
-        return (X - self.x_mean) / self.x_std
-
     # -- forward ------------------------------------------------------------
 
     def _trunk_forward(self, X):
@@ -254,51 +243,44 @@ class QuantileNetwork:
         i = np.arange(self.embedding_dim)
         return np.cos(np.pi * np.outer(np.asarray(taus, dtype=float), i))
 
-    def _inputs(self, X):
-        """X as a 2-D float array, which must have the model's feature count."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.layer_dims[0]:
-            raise DomainError(
-                f"model expects {self.layer_dims[0]} features, got {X.shape[1]}"
-            )
-        return X
-
-    def forward_batch(self, X, taus=None):
+    def forward_batch(self, X, taus=None, alpha=None):
         """Predicted quantiles, one row per input, one column per level of
-        taus; the multi head's whole grid without taus. The levels are
-        checked before the inputs."""
-        if self.head == "implicit" and taus is None:
-            raise DomainError("implicit mode requires explicit levels")
-        cols = None if taus is None else self._columns(_levels(taus))
-        q = _predict(self, self._inputs(X), taus)
-        return q if cols is None else q[:, cols]
-
-    def quantiles_at(self, X, levels, alpha=None):
-        """Predictions at specific levels; multi-head requires grid membership.
+        taus; the multi head's whole grid without taus.
 
         With alpha, two more columns follow from the same network pass: the
         central interval [q_{alpha/2}(x), q_{1-alpha/2}(x)]. Penalty-mode
         nets may cross, so each pair is ordered. An off-grid level is
         reported before a bad alpha, and both before the inputs are checked.
         """
-        levels = np.asarray(levels, dtype=float).ravel()
-        self._columns(levels)  # an off-grid level before a bad alpha
+        if self.head == "implicit" and taus is None:
+            raise DomainError("implicit mode requires explicit levels")
+        levels = self.grid.levels if taus is None else _levels(taus)
         if alpha is not None:
+            self._columns(levels)  # an off-grid level before a bad alpha
             check_alpha(alpha)
             levels = np.append(levels, [alpha / 2, 1 - alpha / 2])
-        q = self.forward_batch(X, levels)
+        cols = self._columns(levels)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.layer_dims[0]:
+            raise DomainError(f"model expects {self.layer_dims[0]} features, got {X.shape[1]}")
+        q = _predict(self, X, levels)
+        q = q if cols is None else q[:, cols]
         if alpha is not None:
-            lo, hi = np.minimum(q[:, -2], q[:, -1]), np.maximum(q[:, -2], q[:, -1])
-            q[:, -2], q[:, -1] = lo, hi
+            q[:, -2], q[:, -1] = np.minimum(q[:, -2], q[:, -1]), np.maximum(q[:, -2], q[:, -1])
         return q
 
     def _columns(self, levels):
         """The grid column of each level; the implicit head takes any level
         in [0, 1] and has no columns (None)."""
-        if self.head == "multi":
-            return [self.grid.index_of(t) for t in levels]
-        if not np.all((levels >= 0) & (levels <= 1)):  # NaN too
-            raise DomainError(f"levels must lie in [0, 1], got {levels.tolist()}")
+        if self.head == "implicit":
+            if not np.all((levels >= 0) & (levels <= 1)):  # NaN too
+                raise DomainError(f"levels must lie in [0, 1], got {levels.tolist()}")
+            return None
+        hits = np.abs(levels[:, None] - self.grid.levels) <= 1e-9
+        if missing := levels[~hits.any(axis=1)].tolist():
+            raise DomainError(f"level {missing[0]} not on the grid; "
+                              f"available: {self.grid.levels.tolist()}")
+        return hits.argmax(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +298,7 @@ def _forward(net: QuantileNetwork, X, levels):
     loss. X is in input units and is standardized here; levels are read
     only by the implicit head.
     """
-    activations = net._trunk_forward(net._standardize(X))
+    activations = net._trunk_forward((X - net.x_mean) / net.x_std)
     W, cos_feat, phi = net.weights[-1], None, None
     if net.head == "implicit":
         # the levels generate the output weights: column k is w * phi(tau_k)
@@ -494,7 +476,7 @@ def predict_intervals(net: QuantileNetwork, X, alpha):
     """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
     one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
     each pair is ordered."""
-    q = net.quantiles_at(X, [], alpha)
+    q = net.forward_batch(X, [], alpha)
     return q[:, 0], q[:, 1]
 
 

@@ -257,6 +257,57 @@ class TestBulkIngest:
             f"error: {path}:{cli._CHUNK_ROWS + 2}: expected 2 cells, got 0"]
 
 
+class TestByteOrderMark:
+    """Files that start with the UTF-8 byte order mark, as Excel's "CSV
+    UTF-8" writes them, read as the same files without it."""
+
+    @staticmethod
+    def _marked(path, text):
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text.encode())
+        return str(path)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("x1,y\n1,2\n3,4\n", id="loadtxt"),
+        pytest.param('x1,y\n"1",2\n3,4\n', id="csv-reader-fallback"),
+    ])
+    def test_ingest(self, tmp_path, text):
+        marked = self._marked(tmp_path / "bom.csv", text)
+        plain = write(tmp_path / "plain.csv", text)
+        assert ingested(ingest_features, marked) == ingested(ingest_features, plain)
+        assert ingest_features(marked)[1] == ("x1", "y")
+
+    def test_train_on_the_first_column(self, tmp_path):
+        make_data_csv(tmp_path / "d.csv", 40)
+        text = (tmp_path / "d.csv").read_text().replace("x,y", "x1,y", 1)
+        conf = write(tmp_path / "c.ini", "[train]\nepochs = 2\nhidden = 3\n")
+        models = []
+        for name, path in (("bom", self._marked(tmp_path / "bom.csv", text)),
+                           ("plain", write(tmp_path / "plain.csv", text))):
+            assert main(["train", "--data", path, "--target", "x1", "--config", conf,
+                         "--out", str(tmp_path / name)]) == 0
+            models.append((tmp_path / name / "model.qnet").read_bytes())
+        assert models[0] == models[1]
+
+    def test_calibrate_on_a_file_without_the_mark(self, tmp_path, capsys):
+        make_data_csv(tmp_path / "plain.csv", 40)
+        text = (tmp_path / "plain.csv").read_text()
+        conf = write(tmp_path / "c.ini", "[train]\nepochs = 2\nhidden = 3\n")
+        assert main(["train", "--data", self._marked(tmp_path / "bom.csv", text),
+                     "--target", "y", "--config", conf, "--out", str(tmp_path / "m")]) == 0
+        assert qnn.load(str(tmp_path / "m" / "model.qnet")).features == ("x",)
+        assert main(["calibrate", "--model", str(tmp_path / "m" / "model.qnet"),
+                     "--data", str(tmp_path / "plain.csv"), "--target", "y",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_config_file(self, tmp_path):
+        text = "[train]\nepochs = 7\n"
+        marked = load_config(self._marked(tmp_path / "bom.ini", text))
+        assert marked == load_config(write(tmp_path / "plain.ini", text))
+        assert marked["train"]["epochs"] == "7"
+
+
 class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
@@ -437,11 +488,11 @@ class TestPipeline:
         values = [-0.0, 0.0, 5e-324, 1e-300, 1e-05, 0.0001, 1.0, 1e16, 1e300]
         values += [-v for v in values[1:]]
 
-        def quantiles_at(net, X, levels, alpha=None):
-            width = len(levels) + (alpha is not None) * 2
+        def forward_batch(net, X, taus=None, alpha=None):
+            width = len(taus) + (alpha is not None) * 2
             return np.resize(values, (len(X), width))
 
-        monkeypatch.setattr(qnn.QuantileNetwork, "quantiles_at", quantiles_at)
+        monkeypatch.setattr(qnn.QuantileNetwork, "forward_batch", forward_batch)
         monkeypatch.setattr(conformal, "conformalize", lambda lo, hi, qhat: (lo, hi))
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 16)
         monkeypatch.setattr(experiments, "_CHUNK_ROWS", 16)
@@ -450,7 +501,7 @@ class TestPipeline:
                 "--target", "y", "--out", str(out)]
         assert main(argv + (["--calibration", pipeline["calibration"]]
                             if calibrated else [])) == 0
-        q = quantiles_at(None, range(120), [0.05, 0.5, 0.95], 0.1 if calibrated else None)
+        q = forward_batch(None, range(120), [0.05, 0.5, 0.95], 0.1 if calibrated else None)
         header = "row,q0.05,q0.5,q0.95" + (",lower,upper" if calibrated else "")
 
         def fmt(v):
@@ -669,6 +720,76 @@ class TestPipeline:
                          "--out", str(out)]) == 0
         for name in ("model.qnet", "train_report.csv", "loss_trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def implicit_model(pipeline, tmp_path_factory):
+    """A model with the implicit head, which the train command does not
+    write: trained through the library on a Dataset with names, saved, and
+    calibrated by the calibrate command."""
+    root = tmp_path_factory.mktemp("implicit")
+    net = qnn.QuantileNetwork([1, 8, 1], head="implicit", embedding_dim=4,
+                              monotone="penalty", seed=3)
+    qnn.train(net, ingest_csv(pipeline["train_csv"], "y"), [0.05, 0.5, 0.95],
+              qnn.TrainingConfig(learning_rate=0.05, epochs=5, seed=3))
+    model = str(root / "model.qnet")
+    qnn.save(net, model)
+    assert main(["calibrate", "--model", model, "--data", pipeline["cal_csv"],
+                 "--target", "y", "--out", str(root / "cal")]) == 0
+    return net, model, str(root / "cal" / "calibration.txt")
+
+
+def read_table(path):
+    """A csv the commands write: its header, and its rows as float() of each cell."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array([[float(c) for c in row] for row in rows])
+
+
+class TestImplicitHeadModel:
+    def test_calibrate(self, pipeline, implicit_model):
+        net, _, calibration = implicit_model
+        data = ingest_csv(pipeline["cal_csv"], "y")
+        lo, hi = qnn.predict_intervals(net, data.features, 0.1)
+        want = conformal.calibrate(conformal.scores(data.targets, lo, hi), 0.1)
+        with open(calibration) as fh:
+            assert fh.read() == want.to_record()
+
+    @pytest.mark.parametrize("taus, calibrated, levels", [
+        ("", False, [0.1 / 2, 0.5, 1 - 0.1 / 2]),  # the default: alpha/2, 0.5, 1 - alpha/2
+        ("", True, [0.1 / 2, 0.5, 1 - 0.1 / 2]),
+        ("0.3,0.7", False, [0.3, 0.7]),
+    ], ids=["default-levels", "calibrated", "taus"])
+    def test_predict(self, pipeline, implicit_model, tmp_path, taus, calibrated, levels):
+        net, model, calibration = implicit_model
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", model, "--data", pipeline["test_csv"],
+                     "--target", "y", "--out", str(out)]
+                    + (["--taus", taus] if taus else [])
+                    + (["--calibration", calibration] if calibrated else [])) == 0
+        header, table = read_table(out / "predictions.csv")
+        assert header == (["row"] + [f"q{t}" for t in levels]
+                          + (["lower", "upper"] if calibrated else []))
+        X = ingest_csv(pipeline["test_csv"], "y").features
+        q = net.forward_batch(X, levels)
+        assert table[:, 1:1 + len(levels)].tobytes() == q.tobytes()
+        if calibrated:
+            qhat = conformal.ConformalCalibration.load(calibration).qhat
+            lo, hi = conformal.conformalize(*qnn.predict_intervals(net, X, 0.1), qhat)
+            assert table[:, -2:].tobytes() == np.column_stack([lo, hi]).tobytes()
+
+    def test_eval(self, pipeline, implicit_model, tmp_path):
+        net, model, calibration = implicit_model
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", model, "--data", pipeline["test_csv"],
+                     "--target", "y", "--calibration", calibration,
+                     "--out", str(out)]) == 0
+        data = ingest_csv(pipeline["test_csv"], "y")
+        qhat = conformal.ConformalCalibration.load(calibration).qhat
+        lo, hi = conformal.conformalize(*qnn.predict_intervals(net, data.features, 0.1), qhat)
+        coverage, width = conformal.coverage(lo, hi, data.targets)
+        assert (out / "eval.csv").read_text() == (
+            f"method,alpha,coverage,mean_width\nqnn,0.1,{coverage},{width}\n")
 
 
 class TestErrorSurface:

@@ -85,7 +85,7 @@ def einsum_implicit_loss_and_gradient(net, batch, levels, config):
     forward and backward: an n x K x H product h of the trunk output and
     the level embedding, with einsum gradients. The reference for the
     level-generated output layer."""
-    activations = net._trunk_forward(net._standardize(batch.features))
+    activations = net._trunk_forward((batch.features - net.x_mean) / net.x_std)
     psi = activations[-1]
     cos_feat = net._cosine_features(levels)
     ze = cos_feat @ net.embed_w + net.embed_b
@@ -450,7 +450,7 @@ class TestTrain:
         net = QuantileNetwork([1, 32, 2], grid=grid, seed=12)
         cfg = TrainingConfig(learning_rate=0.02, epochs=80, batch_size=128, seed=12)
         net, _ = train(net, Dataset(x[:, None], y), grid, cfg)
-        q90 = net.quantiles_at(np.array([[1.0]]), [0.9])[0, 0]
+        q90 = net.forward_batch(np.array([[1.0]]), [0.9])[0, 0]
         assert abs(q90 - normal_quantile(0.9)) < 0.15
 
     def test_deterministic_given_seed(self):
@@ -580,7 +580,7 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 2], grid=grid, monotone="penalty", seed=9)
         net.weights[0][...] = [[1.0, -1.0]]
         X = np.array([[-1.0], [0.0], [2.0]])
-        q = net.quantiles_at(X, [0.05, 0.95])
+        q = net.forward_batch(X, [0.05, 0.95])
         assert np.any(q[:, 0] > q[:, 1])  # the raw pairs do cross
         lo, hi = predict_intervals(net, X, 0.1)
         assert np.array_equal(lo, q.min(axis=1))
@@ -619,9 +619,9 @@ class TestPredictInterval:
             net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
                                   monotone="penalty", seed=2)
         X = np.array([[-1.0], [0.0], [2.0]])
-        q = net.quantiles_at(X, [0.5, 0.95], 0.1)
+        q = net.forward_batch(X, [0.5, 0.95], 0.1)
         lo, hi = predict_intervals(net, X, 0.1)
-        assert np.array_equal(q, np.column_stack([net.quantiles_at(X, [0.5, 0.95]),
+        assert np.array_equal(q, np.column_stack([net.forward_batch(X, [0.5, 0.95]),
                                                   lo, hi]))
 
     @pytest.mark.parametrize("levels, alpha, message", [
@@ -634,7 +634,7 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
         with pytest.raises(DomainError, match=message):
             # a row of two features: the mismatch would be reported last
-            net.quantiles_at([[0.0, 1.0]], levels, alpha)
+            net.forward_batch([[0.0, 1.0]], levels, alpha)
 
     @pytest.mark.parametrize("head", ["multi", "implicit"])
     def test_inputs_must_have_the_model_width(self, head):
@@ -649,7 +649,7 @@ class TestPredictInterval:
             with pytest.raises(DomainError, match=f"model expects 2 features, got {width}"):
                 net.forward_batch(X, [0.5])
             with pytest.raises(DomainError, match=f"model expects 2 features, got {width}"):
-                net.quantiles_at(X, [0.5], 0.1)
+                net.forward_batch(X, [0.5], 0.1)
 
     def test_multi_head_answers_at_the_levels_asked(self):
         net = QuantileNetwork([2, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
@@ -664,7 +664,7 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 4, 1], head="implicit", embedding_dim=3,
                               monotone="penalty", seed=0)
         for run in (lambda: net.forward_batch([[0.0]], levels),
-                    lambda: net.quantiles_at([[0.0]], levels)):
+                    lambda: net.forward_batch([[0.0]], levels, 0.1)):
             with pytest.raises(DomainError, match=r"levels must lie in \[0, 1\]"):
                 run()
 
@@ -692,8 +692,8 @@ class TestPredictInterval:
         net.x_mean, net.x_std = np.array([0.1, -0.2, 0.3]), np.array([1.5, 0.5, 2.0])
         X = RandomSource(6).stream("rows").standard_normal((200, 3)) * 3.0
         lo, hi = predict_intervals(net, X, alpha)
-        ref = np.array([np.sort(net.quantiles_at(x[None, :],
-                                                 [alpha / 2, 1 - alpha / 2])[0])
+        ref = np.array([np.sort(net.forward_batch(x[None, :],
+                                                  [alpha / 2, 1 - alpha / 2])[0])
                         for x in X])
         for got, want in ((lo, ref[:, 0]), (hi, ref[:, 1])):
             assert np.all(np.abs(got - want)
@@ -739,7 +739,7 @@ class TestSerialization:
         net = QuantileNetwork([2, 4, 1], grid=QuantileGrid([0.5]), seed=0)
         assert net.x_mean.tolist() == [0.0, 0.0] and net.x_std.tolist() == [1.0, 1.0]
         X = np.array([[-0.0, 3.5], [1e300, -2.0]])
-        assert np.array_equal(net._standardize(X), X)
+        assert np.array_equal((X - net.x_mean) / net.x_std, X)
         path = os.path.join(tmp_path, "model.qnet")
         qnn.save(net, path)
         other = qnn.load(path)
