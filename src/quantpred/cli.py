@@ -27,67 +27,56 @@ from .numerics import DomainError, check_alpha
 # ---------------------------------------------------------------------------
 
 def ingest_features(path) -> tuple:
-    """Parse a headed numeric csv into (rows as an array, header names).
-    numpy's C parser converts the rows in runs of _CHUNK_ROWS lines; a file
-    with a run it does not take whole is read again through csv.reader, so
-    the values are float()'s and an error: line names the line and column."""
+    """Parse a headed numeric csv into (rows as an array, header names) in one
+    pass. numpy's C parser converts the rows in runs of _CHUNK_ROWS lines; from
+    the first run numpy does not take whole, csv.reader reads the rest, so the
+    values are float()'s and an error: line names the line and column."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header, chunks = _read(path, fh, bulk=True)
-        if chunks is None:
-            fh.seek(0)
-            header, chunks = _read(path, fh, bulk=False)
+        reader, before = csv.reader(fh), 0  # before: the lines read ahead of reader
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DomainError(f"{path}: empty file")
+            if not header or any(not h.strip() for h in header):
+                raise DomainError(f"{path}: malformed header row")
+            header = tuple(h.strip() for h in header)
+            if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
+                raise DomainError(f"{path}: duplicate column name {dup!r} in header")
+            chunks, before = [], reader.line_num
+            while (lines := list(itertools.islice(fh, _CHUNK_ROWS))) and (
+                    data := _loadtxt(lines, len(header))) is not None:
+                chunks.append(data)
+                before += len(lines)
+            line = 2 + sum(map(len, chunks))  # the header is row 1, and a run's line a row
+            reader = csv.reader(itertools.chain(lines, fh))
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                chunks.append(_parse_rows(path, header, rows, line))
+                line += len(rows)
+        except UnicodeDecodeError:
+            raise DomainError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DomainError(f"{path}:{before + reader.line_num}: {exc}") from None
     if not chunks:
         raise DomainError(f"{path}: no data rows")
     return np.concatenate(chunks), header
 
 
-def _read(path, fh, bulk):
-    """The header of the csv open as fh and its rows as arrays of up to
-    _CHUNK_ROWS rows each; with bulk, by _loadtxt_runs, else by _parse_rows."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}: empty file")
-        if not header or any(not h.strip() for h in header):
-            raise DomainError(f"{path}: malformed header row")
-        header = tuple(h.strip() for h in header)
-        if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
-            raise DomainError(f"{path}: duplicate column name {dup!r} in header")
-        if bulk:
-            return header, _loadtxt_runs(fh, len(header))
-        chunks, line = [], 2  # header is line 1
-        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-            chunks.append(_parse_rows(path, header, rows, line))
-            line += len(rows)
-        return header, chunks
-    except UnicodeDecodeError:
-        raise DomainError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _loadtxt_runs(fh, width):
-    """The rest of fh as arrays of up to _CHUNK_ROWS rows, converted by
-    np.loadtxt, which parses a number with float()'s function; None unless
-    every line is width finite numbers csv.reader and float() read the same."""
-    chunks, limit = [], csv.field_size_limit()
+def _loadtxt(lines, width):
+    """lines as an array by np.loadtxt, which parses a number with float()'s
+    function; None unless each line is width finite numbers csv.reader and
+    float() read the same."""
+    # csv.reader rejects a cell past its limit, and float() the characters
+    # \x1c-\x1f, which numpy strips as space
+    text = "".join(lines)
+    if max(map(len, lines)) > csv.field_size_limit() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns of a run of blank lines
-            while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-                # csv.reader rejects a cell past its limit, and float() the
-                # characters \x1c-\x1f, which numpy strips as space
-                text = "".join(lines)
-                if max(map(len, lines)) > limit or any(c in text for c in "\x1c\x1d\x1e\x1f"):
-                    return None
-                data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                if data.shape != (len(lines), width) or not np.isfinite(data).all():
-                    return None
-                chunks.append(data)
-    except Exception:  # anything loadtxt or the decoder rejects
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except Exception:  # anything loadtxt rejects
         return None
-    return chunks
+    return data if data.shape == (len(lines), width) and np.isfinite(data).all() else None
 
 
 def _parse_rows(path, header, rows, line):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .numerics import DomainError, check_alpha, cpus, parallel_map
+from .numerics import DomainError, check_alpha, parallel_map
 
 # log of the smallest positive normal double; a largest log-weight below it means all underflow
 _LOG_TINY = np.log(np.finfo(float).tiny)
@@ -18,7 +18,7 @@ _LOG_TINY = np.log(np.finfo(float).tiny)
 _BLOCK = 2 ** 17
 # query rows scaled at once, in whole blocks (above: 0.38-0.39 s; a block at a time, 0.47-0.52 s)
 _GROUP = 2 ** 10
-# kernel values from which nw_predict spreads its blocks over threads. On a 2-core x86 host 2**24
+# kernel values from which nw_predict spreads its groups over threads. On a 2-core x86 host 2**24
 # values in 4 columns took 31-46 ms serial and 26-28 ms on two threads; 10**6, the size of each NW
 # call in demo coverage's forked workers, 2.1-2.5 ms serial and 2.4-2.8 ms threaded, so serial.
 _THREADED = 2 ** 24
@@ -48,9 +48,9 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     target below about 1e-7 of the data's spread. Queries whose weights all underflow warn;
     below about 1e-9, the expanded square's rounding can count queries on a training point.
 
-    From _THREADED kernel values on, the blocks go in one run per available
-    CPU to threads of parallel_map; every block holds the queries of the
-    serial loop, so the estimates have the same bits on any number of CPUs.
+    The queries go in groups of whole blocks of about _GROUP rows; from _THREADED kernel
+    values on, the groups go to threads of parallel_map. A group holds the same queries on
+    any number of CPUs, so the estimates have the same bits on any of them.
     """
     X, y = train.features, train.targets
     n, d = X.shape
@@ -65,17 +65,15 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     A = np.vstack([2.0 * XcT, -np.square(XcT).sum(axis=0), np.ones(n)])
     Y = np.vstack([y, np.ones(n)]).T  # column-major: the faster gemm operand
     rows = max(1, _BLOCK // n)
+    group = rows * max(1, _GROUP // rows)
     out = np.empty(Q.shape[0])
     # shifting all of 3 * 10**4 queries on 10**4 rows was faster where 30% needed it, slower at
     # 9%; the first query samples that share (a whole block added 1 MB to eval's peak RSS)
-    with np.errstate(all="ignore"):  # only picks the path; the runs obey the caller
+    with np.errstate(all="ignore"):  # only picks the path; the groups obey the caller
         shift = len(Q) > 0 and _nw_blocks(A, Y, Q, c, s2, 1, out, 0, 1)[1] > 0
-    blocks = max(1, -(-Q.shape[0] // rows))  # no queries make one empty block
-    runs = min(cpus(), blocks) if n * Q.shape[0] >= _THREADED else 1
-    per = -(-blocks // runs) * rows
-    underflowed = sum(u for u, _ in parallel_map(
-        lambda a: _nw_blocks(A, Y, Q, c, s2, rows, out, a, min(a + per, Q.shape[0]), shift),
-        range(0, Q.shape[0], per)))
+    underflowed = sum(u for u, _ in (parallel_map if n * len(Q) >= _THREADED else map)(
+        lambda a: _nw_blocks(A, Y, Q, c, s2, rows, out, a, min(a + group, len(Q)), shift),
+        range(0, len(Q), group)))
     if underflowed:
         warnings.warn(f"all kernel weights underflowed for {underflowed} of "
                       f"{Q.shape[0]} queries", RuntimeWarning, stacklevel=2)
@@ -83,37 +81,34 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
 
 
 def _nw_blocks(A, Y, Q, c, s2, rows, out, a, b, shift=False):
-    """nw_predict's loop over the blocks of `rows` queries from row a of Q, up to
-    row b: their estimates go to out[a:b]. Shifts every query's weights with shift,
-    else those of queries whose weights sum outside [1, n]; returns how many had all
-    their weights underflow and how many were shifted. Calls only numpy, so it may
-    run on any thread."""
+    """nw_predict's estimates for the group of queries from row a of Q up to row b,
+    into out[a:b], in blocks of `rows` queries. Shifts every query's weights with
+    shift, else those of queries whose weights sum outside [1, n]; returns how many
+    had all their weights underflow and how many were shifted. Calls only numpy, so
+    it may run on any thread."""
     k = np.empty((min(rows, b - a), A.shape[1]))
-    # [(q - c) / s2, 1 / s2, -||q - c||^2 / s2] per row of a group of blocks; 1 / s2 is the
-    # first divide, and numpy's divides obey the caller's errstate
-    qa = np.full((min(rows * max(1, _GROUP // rows), b - a), A.shape[0]), np.divide(1.0, s2))
-    nds = np.empty((len(qa), 2))
-    underflowed = shifted = 0
-    for g in range(a, b, len(qa)):
-        q, nd = qa[:b - g], nds[:b - g]  # the last group may be short
-        np.subtract(Q[g:g + len(q)], c, out=q[:, :-2])
-        np.divide(np.square(q[:, :-2]).sum(axis=1), -s2, out=q[:, -1])
-        q[:, :-2] /= s2
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum is redone below
-            for s in range(0, 0 if shift else len(q), rows):  # the last block may be short
-                kb = np.matmul(q[s:s + rows], A, out=k[:len(q) - s])  # -||q - x||^2 / s2
-                np.matmul(np.exp(kb, out=kb), Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i)
-        low = shift | ~((nd[:, 1] >= 1) & (nd[:, 1] <= A.shape[1]))  # NaN too
-        shifted += np.count_nonzero(low)
-        for s in range(0, len(q), rows) if low.any() else ():
-            r = s + np.flatnonzero(low[s:s + rows])  # picked per block, as on one CPU
-            kb = np.matmul(q[r], A, out=k[:len(r)])
-            lmax = kb.max(axis=1)
-            underflowed += np.count_nonzero(lmax < _LOG_TINY)
-            kb -= lmax[:, None]
-            nd[r] = np.exp(kb, out=kb) @ Y
-        np.divide(nd[:, 0], nd[:, 1], out=out[g:g + len(q)])
-    return underflowed, shifted
+    # [(q - c) / s2, 1 / s2, -||q - c||^2 / s2] per query; 1 / s2 is the first divide, and
+    # numpy's divides obey the caller's errstate
+    q = np.full((b - a, A.shape[0]), np.divide(1.0, s2))
+    nd = np.empty((b - a, 2))
+    np.subtract(Q[a:b], c, out=q[:, :-2])
+    np.divide(np.square(q[:, :-2]).sum(axis=1), -s2, out=q[:, -1])
+    q[:, :-2] /= s2
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum is redone below
+        for s in range(0, 0 if shift else len(q), rows):  # the last block may be short
+            kb = np.matmul(q[s:s + rows], A, out=k[:len(q) - s])  # -||q - x||^2 / s2
+            np.matmul(np.exp(kb, out=kb), Y, out=nd[s:s + rows])  # sum(y_i w_i), sum(w_i)
+    low = shift | ~((nd[:, 1] >= 1) & (nd[:, 1] <= A.shape[1]))  # NaN too
+    underflowed = 0
+    for s in range(0, len(q), rows) if low.any() else ():
+        r = s + np.flatnonzero(low[s:s + rows])  # picked per block, as k holds one
+        kb = np.matmul(q[r], A, out=k[:len(r)])
+        lmax = kb.max(axis=1)
+        underflowed += np.count_nonzero(lmax < _LOG_TINY)
+        kb -= lmax[:, None]
+        nd[r] = np.exp(kb, out=kb) @ Y
+    np.divide(nd[:, 0], nd[:, 1], out=out[a:b])
+    return underflowed, np.count_nonzero(low)
 
 
 def nw_estimate(train, x, config: KernelConfig) -> float:

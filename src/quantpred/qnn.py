@@ -24,15 +24,6 @@ _BLOCK = 2 ** 16
 class TrainingError(RuntimeError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, epoch, batch, message):
-        # args holds the constructor's arguments, so pickling round-trips
-        super().__init__(epoch, batch, message)
-        self.epoch = epoch
-        self.batch = batch
-
-    def __str__(self):
-        return "epoch {}, batch {}: {}".format(*self.args)
-
 
 # ---------------------------------------------------------------------------
 # Small data containers
@@ -447,7 +438,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
             batch = _Rows(data.features[idx], data.targets[idx])
             loss, grads = loss_and_gradient(net, batch, levels, config)
             if not np.isfinite(loss):
-                raise TrainingError(epoch, start // config.batch_size,
+                raise TrainingError(f"epoch {epoch}, batch {start // config.batch_size}: "
                                     f"non-finite loss {loss}")
             g = np.concatenate(grads, axis=None)
             step += 1
@@ -460,7 +451,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
             theta -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
         epoch_loss = _full_loss(net, data, levels, config.huber_kappa)
         if not np.isfinite(epoch_loss):
-            raise TrainingError(epoch, -1, f"non-finite epoch loss {epoch_loss}")
+            raise TrainingError(f"epoch {epoch}, batch -1: non-finite epoch loss {epoch_loss}")
         trace.append(epoch_loss)
         if epoch_loss < best_loss:
             best_loss = epoch_loss

@@ -243,6 +243,21 @@ class TestBulkIngest:
         path = write(tmp_path / "d.csv", f"x,y\n{valid}{bad}\n3,4\n")
         assert ingested(ingest_features, path) == ingested(per_cell_ingest, path)
 
+    @pytest.mark.parametrize("header", ["x,y\n", '"x\n",y\n'], ids=["header", "two-line-header"])
+    @pytest.mark.parametrize("quoted", ['"1",2\n', '"1\n",2\n'],
+                             ids=["quoted", "quoted-over-two-lines"])
+    @pytest.mark.parametrize("bad", ["1,x", "0." + "0" * 140_000 + "1,2", "1,2,3"],
+                             ids=["non-numeric", "past-field-limit", "ragged"])
+    def test_line_numbers_after_a_late_switch(self, tmp_path, header, quoted, bad):
+        # a clean run, then a quoted cell that hands the rest to csv.reader, then
+        # more than two of its chunks of rows before the bad row: a csv.Error names
+        # the physical line, the other errors the row, as the per-cell loop does
+        valid = "".join(f"{i / 7!r},{-i}\n" for i in range(cli._CHUNK_ROWS))
+        rest = "".join(f"{i},{i / 3!r}\n" for i in range(2100))
+        path = write(tmp_path / "d.csv", f"{header}{valid}{quoted}{rest}{bad}\n3,4\n")
+        got = ingested(ingest_features, path)
+        assert isinstance(got, str) and got == ingested(per_cell_ingest, path)
+
     def test_blank_run_is_one_error_line(self, tmp_path, capsys):
         # a run of only blank lines, which np.loadtxt warns of, ends with
         # the one error: line and no warning
@@ -1058,6 +1073,7 @@ class TestErrorSurface:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(kernel, "_BLOCK", 64)
+        monkeypatch.setattr(kernel, "_GROUP", 1)
         monkeypatch.setattr(kernel, "_THREADED", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         train = make_data_csv(tmp_path / "train.csv", 40)
@@ -1089,6 +1105,7 @@ class TestErrorSurface:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         if threaded:
             monkeypatch.setattr(kernel, "_BLOCK", 64)
+            monkeypatch.setattr(kernel, "_GROUP", 1)
             monkeypatch.setattr(kernel, "_THREADED", 1)
         conf = write(tmp_path / "c.ini", f"[eval]\nbandwidth = {bandwidth}\n")
         out = tmp_path / "o"

@@ -189,7 +189,7 @@ class TestNWPredict:
         rng = RandomSource(12).stream("nw-threads")
         train = Dataset(rng.uniform(-2, 2, (n, 3)), rng.standard_normal(n))
         nw_predict(train, rng.uniform(-2, 2, (3000, 3)), KernelConfig(0.4))
-        assert picked == [False, shifted]
+        assert picked[0] is False and picked[1:] == [shifted] * (len(picked) - 1)
 
     def test_warns_only_for_underflowing_queries(self):
         train = Dataset([[0.5, 0.5]], [4.2])
@@ -212,8 +212,8 @@ def set_cpus(monkeypatch, k):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """nw_predict on threads from 2 kernel values on; the sizes of the
-    thread pools it makes."""
+    """nw_predict on threads from 2 kernel values on, in groups of one block;
+    the sizes of the thread pools it makes."""
     made = []
 
     class Recording(concurrent.futures.ThreadPoolExecutor):
@@ -222,6 +222,7 @@ def pools(monkeypatch):
             super().__init__(workers, **kwargs)
 
     monkeypatch.setattr(kernel, "_THREADED", 2)
+    monkeypatch.setattr(kernel, "_GROUP", 1)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return made
 
