@@ -25,9 +25,9 @@ class NormalNormalModel:
     likelihood_variance: float
 
     def __post_init__(self):
-        if self.prior_variance <= 0:
+        if not self.prior_variance > 0:
             raise DomainError("prior_variance must be positive")
-        if self.likelihood_variance <= 0:
+        if not self.likelihood_variance > 0:
             raise DomainError("likelihood_variance must be positive")
 
 
@@ -48,7 +48,7 @@ class WangDistortion:
     shift: float
 
     def __post_init__(self):
-        if self.lambda1 <= 0:
+        if not self.lambda1 > 0:
             raise DomainError("lambda1 must be positive")
 
 

@@ -42,13 +42,20 @@ def ingest_features(path) -> tuple:
             header = tuple(h.strip() for h in header)
             if dup := next((h for i, h in enumerate(header) if h in header[:i]), None):
                 raise DomainError(f"{path}: duplicate column name {dup!r} in header")
-            chunks, before = [], reader.line_num
-            while (lines := list(itertools.islice(fh, _CHUNK_ROWS))) and (
-                    data := _loadtxt(lines, len(header))) is not None:
+            chunks, before, rest = [], reader.line_num, fh  # rest: what follows lines
+            while rest is fh:
+                lines = []
+                try:  # keep the lines read before a byte that is not UTF-8
+                    for text in itertools.islice(fh, _CHUNK_ROWS):
+                        lines.append(text)
+                except UnicodeDecodeError as exc:  # csv.reader reads lines, then meets exc
+                    rest = map((_ for _ in ()).throw, [exc])  # raises exc when asked for an item
+                if not lines or rest is not fh or (data := _loadtxt(lines, len(header))) is None:
+                    break
                 chunks.append(data)
                 before += len(lines)
             line = 2 + sum(map(len, chunks))  # the header is row 1, and a run's line a row
-            reader = csv.reader(itertools.chain(lines, fh))
+            reader = csv.reader(itertools.chain(lines, rest))
             while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
                 chunks.append(_parse_rows(path, header, rows, line))
                 line += len(rows)
@@ -276,7 +283,7 @@ def cmd_calibrate(args, cfg):
     net = _load_model(args.model)
     data = ingest_csv(args.data, args.target)
     _check_features(args.data, data.names, args.model, net.features)
-    lo, hi = qnn.predict_intervals(net, data.features, alpha)
+    lo, hi = net.forward_batch(data.features, [], alpha).T
     cal = conformal.calibrate(conformal.scores(data.targets, lo, hi), alpha)
     with open(os.path.join(args.out, "calibration.txt"), "w") as fh:
         fh.write(cal.to_record())
@@ -326,7 +333,7 @@ def cmd_eval(args, cfg):
         net = _load_model(args.model)
         cal = _load_calibration(args.calibration, alpha) if args.calibration else None
         _check_features(args.data, data.names, args.model, net.features)
-        lo, hi = qnn.predict_intervals(net, data.features, alpha)
+        lo, hi = net.forward_batch(data.features, [], alpha).T
         if cal is not None:
             lo, hi = conformal.conformalize(lo, hi, cal.qhat)
     else:

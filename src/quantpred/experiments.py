@@ -321,11 +321,11 @@ def _replication(config: CoverageBenchConfig, rep):
     except (qnn.TrainingError, FloatingPointError):
         return None
 
-    lo, hi = qnn.predict_intervals(net, X_te, alpha)  # uncalibrated
+    lo, hi = net.forward_batch(X_te, [], alpha).T  # uncalibrated
     cal = conformal.calibrate(
-        conformal.scores(y_cal, *qnn.predict_intervals(net, X_cal, alpha)), alpha)
+        conformal.scores(y_cal, *net.forward_batch(X_cal, [], alpha).T), alpha)
     probe_lo, probe_hi = conformal.conformalize(
-        *qnn.predict_intervals(net, np.asarray(PROBE_POINTS)[:, None], alpha), cal.qhat)
+        *net.forward_batch(np.asarray(PROBE_POINTS)[:, None], [], alpha).T, cal.qhat)
     nw = kernel.nw_intervals(train_ds, X_cal, y_cal, X_te, kernel.KernelConfig(0.3), alpha)
     return (*conformal.coverage(lo, hi, y_te),
             *conformal.coverage(*conformal.conformalize(lo, hi, cal.qhat), y_te),

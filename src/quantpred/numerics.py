@@ -42,7 +42,7 @@ def normal_cdf(x, mu=0.0, sigma=1.0):
     """Phi((x - mu) / sigma); accepts scalars or arrays."""
     from scipy.special import erfc  # on first use: no CLI pipeline command needs it
 
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     z = (np.asarray(x, dtype=float) - mu) / sigma
     out = 0.5 * erfc(-z / _SQRT2)
@@ -50,7 +50,7 @@ def normal_cdf(x, mu=0.0, sigma=1.0):
 
 
 def normal_pdf(x, mu=0.0, sigma=1.0):
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     z = (np.asarray(x, dtype=float) - mu) / sigma
     out = np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
@@ -62,10 +62,10 @@ def normal_quantile(p, mu=0.0, sigma=1.0):
     or 1 would be infinite."""
     from scipy.special import ndtri
 
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     parr = np.asarray(p, dtype=float)
-    if np.any(parr <= 0.0) or np.any(parr >= 1.0):
+    if not np.all((parr > 0.0) & (parr < 1.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
     out = mu + sigma * ndtri(parr)
     return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
@@ -143,11 +143,6 @@ class RandomSource:
 # Parallel map
 # ---------------------------------------------------------------------------
 
-def cpus():
-    """The CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _under(err, job, item):
     """job(item) with floating-point errors handled as err (np.geterr())."""
     with np.errstate(**err):
@@ -165,7 +160,9 @@ def parallel_map(job, items, processes=False):
     import multiprocessing
 
     items = list(items)
-    workers = min(cpus(), len(items))
+    # the CPUs this process may run on; 1 where the OS does not say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
     if workers <= 1 or processes and "fork" not in multiprocessing.get_all_start_methods():
         return list(map(job, items))
     # fork, not spawn: a worker starts with numpy and quantpred already imported

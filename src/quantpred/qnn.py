@@ -84,13 +84,13 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise DomainError("learning_rate must be positive")
         if self.epochs < 1:
             raise DomainError("epochs must be at least 1")
         if self.batch_size < 1:
             raise DomainError("batch_size must be at least 1")
-        if self.huber_kappa < 0:
+        if not self.huber_kappa >= 0:
             raise DomainError("huber_kappa must be non-negative")
 
 
@@ -167,7 +167,7 @@ class QuantileNetwork:
             raise DomainError(f"unknown head mode {head!r}")
         if monotone not in ("increments", "penalty"):
             raise DomainError(f"unknown monotone mode {monotone!r}")
-        if penalty_weight < 0:
+        if not penalty_weight >= 0:
             raise DomainError("penalty_weight must be non-negative")
         if head == "multi":
             if grid is None:
@@ -463,19 +463,11 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     return net, trace
 
 
-def predict_intervals(net: QuantileNetwork, X, alpha):
-    """Uncalibrated central intervals [q_{alpha/2}(x), q_{1-alpha/2}(x)],
-    one per row of X, as arrays (lo, hi). Penalty-mode nets may cross, so
-    each pair is ordered."""
-    q = net.forward_batch(X, [], alpha)
-    return q[:, 0], q[:, 1]
-
-
 def predict_interval(net: QuantileNetwork, x, alpha):
-    """predict_intervals for the single input row x, as floats (lo, hi)."""
+    """The central interval [q_{alpha/2}(x), q_{1-alpha/2}(x)] of the single
+    input row x, as floats (lo, hi)."""
     # no command calls this; bench/test_bench.py wraps it to test the tracer
-    lo, hi = predict_intervals(net, np.asarray(x, dtype=float).reshape(1, -1), alpha)
-    return float(lo[0]), float(hi[0])
+    return tuple(net.forward_batch(np.reshape(x, (1, -1)), [], alpha)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,24 @@ class TestBulkIngest:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}:{cli._CHUNK_ROWS + 2}: expected 2 cells, got 0"]
 
+    # the file is decoded in blocks of 8192 bytes, so a byte that is not UTF-8
+    # is met with the lines of its block; the lines before them are read first
+    @pytest.mark.parametrize("tail", [
+        *(pytest.param(b"0." + b"0" * 139_997 + b"1,2\n" + b"1,2\n" * n + b"1,\xff\n",
+                       id=f"past-field-limit-then-{n}-rows") for n in (0, 10, 300, 1000, 3000)),
+        # a quoted cell still open where the block with the byte starts
+        pytest.param(b"1.000000000000000,2\n" * 204 + b'"1\n' + b"\n" * 205 + b'\xff",2\n',
+                     id="quoted-cell-open"),
+    ])
+    def test_undecodable_byte_after_a_clean_run(self, tmp_path, tail):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x,y\n" + b"1,2\n" * cli._CHUNK_ROWS + tail)
+        try:
+            expected = ingested(per_cell_ingest, path)
+        except UnicodeDecodeError:
+            expected = f"{path}: not UTF-8 text"
+        assert ingested(ingest_features, path) == expected
+
 
 class TestByteOrderMark:
     """Files that start with the UTF-8 byte order mark, as Excel's "CSV
@@ -765,7 +783,7 @@ class TestImplicitHeadModel:
     def test_calibrate(self, pipeline, implicit_model):
         net, _, calibration = implicit_model
         data = ingest_csv(pipeline["cal_csv"], "y")
-        lo, hi = qnn.predict_intervals(net, data.features, 0.1)
+        lo, hi = net.forward_batch(data.features, [], 0.1).T
         want = conformal.calibrate(conformal.scores(data.targets, lo, hi), 0.1)
         with open(calibration) as fh:
             assert fh.read() == want.to_record()
@@ -790,7 +808,7 @@ class TestImplicitHeadModel:
         assert table[:, 1:1 + len(levels)].tobytes() == q.tobytes()
         if calibrated:
             qhat = conformal.ConformalCalibration.load(calibration).qhat
-            lo, hi = conformal.conformalize(*qnn.predict_intervals(net, X, 0.1), qhat)
+            lo, hi = conformal.conformalize(*net.forward_batch(X, [], 0.1).T, qhat)
             assert table[:, -2:].tobytes() == np.column_stack([lo, hi]).tobytes()
 
     def test_eval(self, pipeline, implicit_model, tmp_path):
@@ -801,7 +819,7 @@ class TestImplicitHeadModel:
                      "--out", str(out)]) == 0
         data = ingest_csv(pipeline["test_csv"], "y")
         qhat = conformal.ConformalCalibration.load(calibration).qhat
-        lo, hi = conformal.conformalize(*qnn.predict_intervals(net, data.features, 0.1), qhat)
+        lo, hi = conformal.conformalize(*net.forward_batch(data.features, [], 0.1).T, qhat)
         coverage, width = conformal.coverage(lo, hi, data.targets)
         assert (out / "eval.csv").read_text() == (
             f"method,alpha,coverage,mean_width\nqnn,0.1,{coverage},{width}\n")
@@ -1239,6 +1257,17 @@ class TestArtifactErrors:
         assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {bad}: malformed model: field features is not a list of strings"]
+
+    def test_model_nan_penalty_weight(self, pipeline, tmp_path, capsys):
+        def poison(text):
+            doc = json.loads(text)
+            doc["penalty_weight"] = math.nan  # json writes NaN, and reads it back
+            return json.dumps(doc)
+
+        bad = self._edited(pipeline["model"], tmp_path / "m.qnet", poison)
+        assert self._run(pipeline, tmp_path, "eval", model=bad) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: malformed model: penalty_weight must be non-negative"]
 
     @pytest.mark.parametrize("command", ["calibrate", "predict", "eval"])
     def test_model_without_feature_names(self, pipeline, tmp_path, capsys, command):

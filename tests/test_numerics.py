@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from quantpred import analytic, qnn
 from quantpred.conformal import calibrate
 from quantpred.numerics import (
     DomainError,
@@ -14,6 +15,7 @@ from quantpred.numerics import (
     RandomSource,
     empirical_quantile,
     normal_cdf,
+    normal_pdf,
     normal_quantile,
     parallel_map,
 )
@@ -105,6 +107,31 @@ class TestScipyIdentity:
         expected = ndtri(self.PS)
         assert np.array_equal(normal_quantile(self.PS), expected)
         assert all(normal_quantile(float(p)) == e for p, e in zip(self.PS, expected))
+
+
+NAN = float("nan")
+
+
+# each check is written so that NaN fails it, as the messages say of it
+@pytest.mark.parametrize("make, message", [
+    (lambda: normal_quantile(NAN), "p must lie strictly inside (0, 1)"),
+    (lambda: normal_quantile(0.5, sigma=NAN), "sigma must be positive, got nan"),
+    (lambda: normal_cdf(0.0, sigma=NAN), "sigma must be positive, got nan"),
+    (lambda: normal_pdf(0.0, sigma=NAN), "sigma must be positive, got nan"),
+    (lambda: analytic.NormalNormalModel(0.0, NAN, 1.0), "prior_variance must be positive"),
+    (lambda: analytic.NormalNormalModel(0.0, 1.0, NAN),
+     "likelihood_variance must be positive"),
+    (lambda: analytic.WangDistortion(NAN, 0.0), "lambda1 must be positive"),
+    (lambda: qnn.TrainingConfig(learning_rate=NAN), "learning_rate must be positive"),
+    (lambda: qnn.TrainingConfig(huber_kappa=NAN), "huber_kappa must be non-negative"),
+    (lambda: qnn.QuantileNetwork([1, 4, 1], grid=qnn.QuantileGrid([0.5]),
+                                 penalty_weight=NAN), "penalty_weight must be non-negative"),
+], ids=["quantile-p", "quantile-sigma", "cdf-sigma", "pdf-sigma", "prior-variance",
+        "likelihood-variance", "lambda1", "learning-rate", "huber-kappa", "penalty-weight"])
+def test_range_checks_reject_nan(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 class TestEmpiricalQuantile:

@@ -18,7 +18,6 @@ from quantpred.qnn import (
     loss_and_gradient,
     pinball_loss,
     predict_interval,
-    predict_intervals,
     train,
 )
 
@@ -570,7 +569,7 @@ class TestPredictInterval:
     def test_ordered_bounds(self):
         grid = QuantileGrid([0.05, 0.5, 0.95])
         net = QuantileNetwork([1, 6, 3], grid=grid, seed=9)
-        lo, hi = predict_intervals(net, [[0.3]], 0.1)
+        lo, hi = net.forward_batch([[0.3]], [], 0.1).T
         assert lo.shape == hi.shape == (1,)
         assert np.all(lo <= hi)
 
@@ -581,7 +580,7 @@ class TestPredictInterval:
         X = np.array([[-1.0], [0.0], [2.0]])
         q = net.forward_batch(X, [0.05, 0.95])
         assert np.any(q[:, 0] > q[:, 1])  # the raw pairs do cross
-        lo, hi = predict_intervals(net, X, 0.1)
+        lo, hi = net.forward_batch(X, [], 0.1).T
         assert np.array_equal(lo, q.min(axis=1))
         assert np.array_equal(hi, q.max(axis=1))
 
@@ -591,7 +590,7 @@ class TestPredictInterval:
         net = QuantileNetwork([1, 2], grid=grid, seed=9)
         net.weights[0][...] = 0.0
         net.biases[0][...] = [1.25, softplus_inv(1e-6)]
-        lo, hi = predict_intervals(net, [[0.3]], 0.999)
+        lo, hi = net.forward_batch([[0.3]], [], 0.999).T
         assert lo[0] == pytest.approx(1.25)
         assert hi[0] - lo[0] == pytest.approx(1e-6)
 
@@ -599,14 +598,14 @@ class TestPredictInterval:
         grid = QuantileGrid([0.25, 0.75])
         net = QuantileNetwork([1, 4, 2], grid=grid, seed=0)
         with pytest.raises(DomainError):
-            predict_intervals(net, [[0.0]], 0.1)
+            net.forward_batch([[0.0]], [], 0.1)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         grid = QuantileGrid([0.25, 0.5, 0.75])
         net = QuantileNetwork([1, 4, 3], grid=grid, seed=0)
         with pytest.raises(DomainError, match="alpha"):
-            predict_intervals(net, [[0.0]], alpha)
+            net.forward_batch([[0.0]], [], alpha)
 
     @pytest.mark.parametrize("head", ["multi", "implicit"])
     def test_levels_and_interval_from_one_pass(self, head):
@@ -619,7 +618,7 @@ class TestPredictInterval:
                                   monotone="penalty", seed=2)
         X = np.array([[-1.0], [0.0], [2.0]])
         q = net.forward_batch(X, [0.5, 0.95], 0.1)
-        lo, hi = predict_intervals(net, X, 0.1)
+        lo, hi = net.forward_batch(X, [], 0.1).T
         assert np.array_equal(q, np.column_stack([net.forward_batch(X, [0.5, 0.95]),
                                                   lo, hi]))
 
@@ -670,13 +669,13 @@ class TestPredictInterval:
     def test_implicit_evaluates_any_level(self):
         net = QuantileNetwork([1, 6, 1], head="implicit", embedding_dim=4,
                               monotone="penalty", seed=2)
-        lo, hi = predict_intervals(net, [[0.5]], 0.37)
+        lo, hi = net.forward_batch([[0.5]], [], 0.37).T
         assert np.all(lo <= hi)
 
     def test_single_row_form(self):
         grid = QuantileGrid([0.05, 0.5, 0.95])
         net = QuantileNetwork([2, 6, 3], grid=grid, seed=9)
-        lo, hi = predict_intervals(net, [[0.3, -1.0]], 0.1)
+        lo, hi = net.forward_batch([[0.3, -1.0]], [], 0.1).T
         assert predict_interval(net, [0.3, -1.0], 0.1) == (lo[0], hi[0])
 
     @pytest.mark.parametrize("head", ["multi", "implicit"])
@@ -690,7 +689,7 @@ class TestPredictInterval:
                                   monotone="penalty", seed=5)
         net.x_mean, net.x_std = np.array([0.1, -0.2, 0.3]), np.array([1.5, 0.5, 2.0])
         X = RandomSource(6).stream("rows").standard_normal((200, 3)) * 3.0
-        lo, hi = predict_intervals(net, X, alpha)
+        lo, hi = net.forward_batch(X, [], alpha).T
         ref = np.array([np.sort(net.forward_batch(x[None, :],
                                                   [alpha / 2, 1 - alpha / 2])[0])
                         for x in X])
