@@ -121,9 +121,9 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-_ACT = {  # each activation, and its derivative as a function of the activation
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0),
-    "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
+_ACT = {  # each activation, in place, and its derivative as a function of the activation
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a ** 2),
 }
 
 
@@ -223,11 +223,17 @@ class QuantileNetwork:
     # -- forward ------------------------------------------------------------
 
     def _trunk_forward(self, X):
-        """X, then the activation of each hidden layer (not the output layer)."""
+        """X, then the activation of each hidden layer (not the output layer).
+        Each layer's pre-activation array becomes its activation in place:
+        backprop reads only the activations."""
         act, _ = _ACT[self.activation]
         activations = [X]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            activations.append(act(activations[-1] @ W + b))
+            # matmul forms a one-column input's outer product in a plain loop, 3-5x
+            # slower than np.dot's BLAS call; one product per entry, the same bits
+            z = np.dot(activations[-1], W) if W.shape[0] == 1 else activations[-1] @ W
+            z += b
+            activations.append(act(z))
         return activations
 
     def _cosine_features(self, taus):
@@ -296,12 +302,13 @@ def _forward(net: QuantileNetwork, X, levels):
         cos_feat = net._cosine_features(levels)
         phi = np.maximum(cos_feat @ net.embed_w + net.embed_b, 0.0)  # K x H
         W = W * phi.T
-    raw = activations[-1] @ W + net.biases[-1]
+    raw = activations[-1] @ W
+    raw += net.biases[-1]
     q = raw
     if net.monotone == "increments":
         q = np.empty_like(raw)
         q[:, 0] = raw[:, 0]
-        q[:, 1:] = raw[:, [0]] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
+        q[:, 1:] = raw[:, :1] + np.cumsum(_softplus(raw[:, 1:]), axis=1)
     return q, (activations, raw, W, cos_feat, phi)
 
 
@@ -324,7 +331,7 @@ def _loss(net: QuantileNetwork, q, y, levels, kappa):
     u = y[:, None] - q
     slope = levels - (u < 0)
     loss = _huber_loss(u, slope, kappa) if kappa > 0 else u * slope
-    loss, viol = float(loss.mean()), None
+    loss, viol = float(loss.sum()) / loss.size, None  # what loss.mean() computes
     if net.monotone == "penalty":
         viol = np.maximum(q[:, :-1] - q[:, 1:], 0.0)
         loss += net.penalty_weight * float(np.sum(viol ** 2)) / q.shape[0]
@@ -357,7 +364,7 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
     loss, u, slope, viol = _loss(net, q, y, levels, kappa)
     # the subgradient at the kink u = 0 is tau, the u >= 0 branch's slope
     dldu = np.abs(slope) * np.clip(u, -kappa, kappa) / kappa if kappa > 0 else slope
-    dq = -dldu * (1.0 / u.size)
+    dq = dldu * (-1.0 / u.size)
     if viol is not None:
         dq_pen = np.zeros_like(q)
         g = 2.0 * net.penalty_weight * viol / q.shape[0]
@@ -416,6 +423,8 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     if not np.all((levels > 0) & (levels < 1)):
         raise DomainError("training levels must lie strictly inside (0, 1), "
                           f"got {levels.tolist()}")
+    if np.any(np.diff(levels) <= 0):  # penalty mode would train toward crossing
+        raise DomainError(f"training levels must be strictly increasing, got {levels.tolist()}")
     std = data.features.std(axis=0)
     net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
     net.features = data.names
@@ -423,6 +432,7 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     theta = net.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    g, t = np.empty_like(theta), np.empty_like(theta)  # the gradient, a work array
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -437,20 +447,31 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
             idx = order[start:start + config.batch_size]
             batch = _Rows(data.features[idx], data.targets[idx])
             loss, grads = loss_and_gradient(net, batch, levels, config)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(f"epoch {epoch}, batch {start // config.batch_size}: "
                                     f"non-finite loss {loss}")
-            g = np.concatenate(grads, axis=None)
+            np.concatenate(grads, axis=None, out=g)
             step += 1
+            # in place, rounding as m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g
+            # and theta -= (lr mhat) / (sqrt(vhat) + eps) do
             m *= beta1
-            m += (1 - beta1) * g
+            m += np.multiply(1 - beta1, g, out=t)
             v *= beta2
-            v += (1 - beta2) * g * g
-            mhat = m / (1 - beta1 ** step)
-            vhat = v / (1 - beta2 ** step)
-            theta -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            np.multiply(1 - beta2, g, out=t)
+            v += np.multiply(t, g, out=t)
+            np.divide(m, 1 - beta1 ** step, out=g)  # mhat
+            np.divide(v, 1 - beta2 ** step, out=t)  # vhat
+            np.sqrt(t, out=t)
+            t += eps
+            g *= config.learning_rate
+            theta -= np.divide(g, t, out=g)
+        # dead units' zero gradients walk their moments into the subnormals, where
+        # Adam runs several times slower; kept, such an entry moves theta by at
+        # most lr * tiny / eps
+        m[np.abs(m) < np.finfo(float).tiny] = 0.0
+        v[v < np.finfo(float).tiny] = 0.0
         epoch_loss = _full_loss(net, data, levels, config.huber_kappa)
-        if not np.isfinite(epoch_loss):
+        if not math.isfinite(epoch_loss):
             raise TrainingError(f"epoch {epoch}, batch -1: non-finite epoch loss {epoch_loss}")
         trace.append(epoch_loss)
         if epoch_loss < best_loss:

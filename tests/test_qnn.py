@@ -33,7 +33,9 @@ def make_dataset(seed, n=8, d=3):
 
 def per_array_adam_train(net, data, taus, config):
     """qnn.train as it was with one Adam moment and one best-parameter
-    snapshot per parameter array: the reference for the whole-vector code."""
+    snapshot per parameter array, and no flush of subnormal moments: the
+    reference for the whole-vector code. Returns (net, trace, m, v), the
+    moments as one array per parameter array."""
     mean = data.features.mean(axis=0)
     std = data.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -76,7 +78,7 @@ def per_array_adam_train(net, data, taus, config):
         for p, bp in zip(params, best_params):
             p[...] = bp
         trace.append(best_loss)
-    return net, trace
+    return net, trace, m, v
 
 
 def einsum_implicit_loss_and_gradient(net, batch, levels, config):
@@ -235,6 +237,40 @@ class TestForward:
             QuantileNetwork([1, 4, 1], head="implicit", monotone="increments")
 
 
+def out_of_place_forward(net, X, levels):
+    """qnn._forward with a new array at every step: act(a @ W + b) with
+    matmul in every layer, a copy of the base column. The reference for the
+    in-place pass and for np.dot on a one-column input."""
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[net.activation]
+    activations = [(X - net.x_mean) / net.x_std]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        activations.append(act(activations[-1] @ W + b))
+    W, cos_feat, phi = net.weights[-1], None, None
+    if net.head == "implicit":
+        cos_feat = net._cosine_features(levels)
+        phi = np.maximum(cos_feat @ net.embed_w + net.embed_b, 0.0)
+        W = W * phi.T
+    raw = activations[-1] @ W + net.biases[-1]
+    q = raw
+    if net.monotone == "increments":
+        q = np.empty_like(raw)
+        q[:, 0] = raw[:, 0]
+        q[:, 1:] = raw[:, [0]] + np.cumsum(qnn._softplus(raw[:, 1:]), axis=1)
+    return q, (activations, raw, W, cos_feat, phi)
+
+
+def mean_loss(net, q, y, levels, kappa):
+    """qnn._loss with the mean taken by .mean()."""
+    u = y[:, None] - q
+    slope = levels - (u < 0)
+    loss = qnn._huber_loss(u, slope, kappa) if kappa > 0 else u * slope
+    loss, viol = float(loss.mean()), None
+    if net.monotone == "penalty":
+        viol = np.maximum(q[:, :-1] - q[:, 1:], 0.0)
+        loss += net.penalty_weight * float(np.sum(viol ** 2)) / q.shape[0]
+    return loss, u, slope, viol
+
+
 def whole_array_full_loss(net, data, levels, kappa):
     """qnn._full_loss as one _forward call over every row: the reference
     for the blocked pass."""
@@ -253,16 +289,16 @@ def close_to(got, ref):
 class TestBlockedPass:
     ROWS = qnn._BLOCK // 64  # the block of a net whose widest layer is 64
 
-    def _net(self, head, monotone, activation):
+    def _net(self, head, monotone, activation, d=4):
         if head == "multi":
-            net = QuantileNetwork([4, 64, 48, 5],
+            net = QuantileNetwork([d, 64, 48, 5],
                                   grid=QuantileGrid([0.05, 0.25, 0.5, 0.75, 0.95]),
                                   activation=activation, monotone=monotone, seed=11)
         else:
-            net = QuantileNetwork([4, 64, 1], head="implicit", embedding_dim=8,
+            net = QuantileNetwork([d, 64, 1], head="implicit", embedding_dim=8,
                                   activation=activation, monotone=monotone, seed=11)
-        net.x_mean = np.array([0.1, -0.2, 0.3, 0.0])
-        net.x_std = np.array([1.5, 0.5, 2.0, 1.0])
+        net.x_mean = np.array([0.1, -0.2, 0.3, 0.0])[:d]
+        net.x_std = np.array([1.5, 0.5, 2.0, 1.0])[:d]
         return net
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -278,6 +314,35 @@ class TestBlockedPass:
         if n <= self.ROWS:  # one block is one _forward call
             assert np.array_equal(got, ref)
         assert close_to(got, ref)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("head, monotone", [
+        ("multi", "increments"), ("multi", "penalty"), ("implicit", "penalty")])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 3 * ROWS + 17])
+    @pytest.mark.parametrize("d", [1, 4])  # one input column takes np.dot
+    def test_in_place_pass_matches_the_out_of_place_reference(
+            self, monkeypatch, head, monotone, activation, kappa, n, d):
+        net = self._net(head, monotone, activation, d)
+        rng = RandomSource(n).stream("rows")
+        X = rng.uniform(-2.0, 2.0, (n, d))
+        X[::7] = net.x_mean  # inputs that standardize to exact zeros
+        batch = Dataset(X, rng.standard_normal(n))
+        levels = net.grid.levels if head == "multi" else np.array([0.1, 0.5, 0.9])
+        cfg = TrainingConfig(huber_kappa=kappa)
+        q, cache = qnn._forward(net, batch.features, levels)
+        out = qnn._predict(net, batch.features, levels)
+        loss, grads = loss_and_gradient(net, batch, levels, cfg)
+        monkeypatch.setattr(qnn, "_forward", out_of_place_forward)
+        monkeypatch.setattr(qnn, "_loss", mean_loss)
+        ref_q, ref_cache = out_of_place_forward(net, batch.features, levels)
+        assert np.array_equal(q, ref_q)
+        for a, ref in zip([*cache[0], *cache[1:]], [*ref_cache[0], *ref_cache[1:]]):
+            assert (a is None and ref is None) or np.array_equal(a, ref)
+        assert np.array_equal(out, qnn._predict(net, batch.features, levels))
+        ref_loss, ref_grads = loss_and_gradient(net, batch, levels, cfg)
+        assert loss == ref_loss
+        assert all(np.array_equal(g, ref) for g, ref in zip(grads, ref_grads, strict=True))
 
     def test_full_data_passes_hold_one_block(self):
         # the whole-array pass peaked at 42.6 MB (forward_batch) and 43.6 MB
@@ -507,12 +572,27 @@ class TestTrain:
                                    monotone=mono, penalty_weight=0.7, seed=4)
 
         net, trace = train(fresh(), ds, grid, cfg)
-        ref, ref_trace = per_array_adam_train(fresh(), ds, grid, cfg)
+        ref, ref_trace, _, _ = per_array_adam_train(fresh(), ds, grid, cfg)
         # a restore appends the best loss after the epochs + 1 entries
         assert len(trace) == cfg.epochs + 1 + restored
         assert trace == ref_trace
         for a, b in zip(net.parameters(), ref.parameters()):
             assert np.array_equal(a, b)
+
+    def test_flushed_subnormal_moments_change_no_bits(self):
+        # at learning rate 0.1 some relu units die after carrying gradient;
+        # m *= 0.9 walks their moments into the subnormals within the 7200
+        # steps, and train flushes them at each epoch's end
+        grid = QuantileGrid([0.5])
+        ds = make_dataset(7, n=16, d=2)
+        cfg = TrainingConfig(learning_rate=0.1, epochs=900, batch_size=2, seed=1)
+        net, trace = train(QuantileNetwork([2, 8, 1], grid=grid, seed=2), ds, grid, cfg)
+        ref, ref_trace, m, _ = per_array_adam_train(
+            QuantileNetwork([2, 8, 1], grid=grid, seed=2), ds, grid, cfg)
+        m = np.concatenate(m, axis=None)
+        assert np.count_nonzero((m != 0) & (np.abs(m) < np.finfo(float).tiny)) > 0
+        assert trace == ref_trace
+        assert net.theta.tobytes() == ref.theta.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_raises_training_error(self):
@@ -531,6 +611,9 @@ class TestTrain:
         ("multi", [0.05, 0.5], r"training levels \[0.05, 0.5\] are not the grid"),
         ("implicit", [0.5, 1.0], r"strictly inside \(0, 1\), got \[0.5, 1.0\]"),
         ("implicit", [np.nan], r"strictly inside \(0, 1\), got \[nan\]"),
+        # penalty mode would train toward crossing quantiles
+        ("implicit", [0.9, 0.5, 0.1], r"levels must be strictly increasing, got \[0.9, 0.5, 0.1\]"),
+        ("implicit", [0.5, 0.5], r"levels must be strictly increasing"),
     ])
     def test_levels_checked_before_the_first_pass(self, monkeypatch, head, levels,
                                                   message):
