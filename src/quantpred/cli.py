@@ -18,8 +18,12 @@ import warnings
 import numpy as np
 
 from . import conformal, experiments, kernel, qnn
-from .experiments import _CHUNK_ROWS, write_csv
+from .experiments import write_csv
 from .numerics import DomainError, check_alpha
+
+# rows per np.loadtxt call and per csv.reader block in ingest_features, and
+# per block of predictions.csv rows converted to Python floats
+_CHUNK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ on synthetic data."""
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -16,22 +15,13 @@ from . import analytic, conformal, kernel, qnn
 from .numerics import DomainError, RandomSource, check_alpha, normal_pdf, normal_cdf, parallel_map
 
 
-# rows per fh.write of write_csv, per np.loadtxt call and per csv.reader block
-# in cli.ingest_features, and per block of predictions.csv rows converted to
-# Python floats
-_CHUNK_ROWS = 1024
-
-
 def write_csv(path, header, rows):
-    """A headed CSV file, one line per row of cells, _CHUNK_ROWS rows a write.
-    A cell is its str: a float's, Python's or numpy's, is the shortest text
+    """A headed CSV file, one line per row of cells, streamed from rows. A
+    cell is its str: a float's, Python's or numpy's, is the shortest text
     that reads back as the same float."""
-    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := "".join(",".join(map(str, r)) + "\n"
-                               for r in itertools.islice(rows, _CHUNK_ROWS)):
-            fh.write(chunk)
+        fh.writelines(",".join(map(str, r)) + "\n" for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +372,8 @@ def write_efron_report(out_dir, est_config: EfronConfig, m_replications=20_000,
 
 def write_coverage_report(out_dir, config: CoverageBenchConfig):
     result = run_coverage_bench(config)
+    if not result.rows:
+        raise qnn.TrainingError(f"all {result.failures} replications failed to train")
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "coverage_bench.csv"),
               ["method", "coverage", "coverage_se", "mean_width", "width_se"],

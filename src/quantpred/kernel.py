@@ -55,8 +55,6 @@ def nw_predict(train, Xq, config: KernelConfig) -> np.ndarray:
     X, y = train.features, train.targets
     n, d = X.shape
     Q = np.asarray(Xq, dtype=float)
-    if n == 0:
-        raise DomainError("training set must be non-empty")
     if Q.ndim != 2 or Q.shape[1] != d:
         raise DomainError(f"queries of shape {Q.shape} do not have {d} columns")
     s2 = 2.0 * config.bandwidth ** 2

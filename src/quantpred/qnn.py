@@ -37,9 +37,9 @@ class QuantileGrid:
         if lv.size == 0:
             raise DomainError("quantile grid needs at least one level")
         if not np.all((lv > 0) & (lv < 1)):  # NaN too
-            raise DomainError("levels must lie strictly inside (0, 1)")
+            raise DomainError(f"levels must lie strictly inside (0, 1), got {lv.tolist()}")
         if np.any(np.diff(lv) <= 0):
-            raise DomainError("levels must be strictly increasing")
+            raise DomainError(f"levels must be strictly increasing, got {lv.tolist()}")
         self.levels = lv
 
     def __len__(self):
@@ -59,6 +59,8 @@ class Dataset:
             raise DomainError(
                 f"{X.shape[0]} feature rows but {y.shape[0]} targets"
             )
+        if y.size == 0:
+            raise DomainError("dataset needs at least one row")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise DomainError("dataset contains non-finite entries")
         if len(self.names) not in (0, X.shape[1]):
@@ -355,10 +357,9 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
     """Mean configured loss over the batch and grid, plus the crossing
     penalty in penalty mode, with gradients in the network's parameter
     order. batch needs only .features and .targets arrays."""
-    y = batch.targets
-    if y.size == 0:
-        raise DomainError("batch must be non-empty")
-    levels = _levels(taus)
+    y, levels = batch.targets, _levels(taus)
+    if y.size == 0 or levels.size == 0:
+        raise DomainError("batch and levels must be non-empty")
     kappa = config.huber_kappa
     q, cache = _forward(net, batch.features, levels)
     loss, u, slope, viol = _loss(net, q, y, levels, kappa)
@@ -413,18 +414,12 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     worse than the starting point the best-seen parameters are restored,
     so the final loss never exceeds the initial one.
     """
-    if data.n == 0:
-        raise DomainError("training data must be non-empty")
-    # checked once here, not per batch in loss_and_gradient
-    levels = _levels(taus)
+    # checked once here, not per batch in loss_and_gradient; increasing, as
+    # penalty mode would train toward crossing
+    levels = QuantileGrid(_levels(taus)).levels
     if net.head == "multi" and net._columns(levels) != list(range(len(net.grid))):
         raise DomainError(f"training levels {levels.tolist()} are not the grid "
                           f"{net.grid.levels.tolist()}")
-    if not np.all((levels > 0) & (levels < 1)):
-        raise DomainError("training levels must lie strictly inside (0, 1), "
-                          f"got {levels.tolist()}")
-    if np.any(np.diff(levels) <= 0):  # penalty mode would train toward crossing
-        raise DomainError(f"training levels must be strictly increasing, got {levels.tolist()}")
     std = data.features.std(axis=0)
     net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
     net.features = data.names

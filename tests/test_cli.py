@@ -30,6 +30,11 @@ from quantpred.numerics import DomainError, RandomSource
 SRC = os.path.dirname(os.path.dirname(quantpred.__file__))
 
 
+def _failed_replication(config, rep):
+    """experiments._replication's result when training fails."""
+    return None
+
+
 def write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -528,7 +533,6 @@ class TestPipeline:
         monkeypatch.setattr(qnn.QuantileNetwork, "forward_batch", forward_batch)
         monkeypatch.setattr(conformal, "conformalize", lambda lo, hi, qhat: (lo, hi))
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 16)
-        monkeypatch.setattr(experiments, "_CHUNK_ROWS", 16)
         out = tmp_path / "pred"
         argv = ["predict", "--model", pipeline["model"], "--data", pipeline["test_csv"],
                 "--target", "y", "--out", str(out)]
@@ -1389,6 +1393,16 @@ class TestDemoCommand:
         conf = write(tmp_path / "c.ini", "[demo]\nepochs = 0\n")
         assert main(["demo", "coverage", "--config", conf, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: epochs must be at least 1"]
+        assert not (tmp_path / "o").exists()
+
+    def test_coverage_fails_when_every_replication_fails(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # module level, so the forked workers can unpickle it by name
+        monkeypatch.setattr(experiments, "_replication", _failed_replication)
+        conf = write(tmp_path / "c.ini", "[demo]\nreplications = 2\n")
+        assert main(["demo", "coverage", "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: all 2 replications failed to train"]
         assert not (tmp_path / "o").exists()
 
 

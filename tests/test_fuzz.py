@@ -1,4 +1,4 @@
-"""Fuzzed CSV cells, config values, demo settings and --alpha levels
+"""Fuzzed CSV cells, config values, demo settings, --alpha levels and --taus lists
 through cli.main: a run ends with status 0, or with status 1 and a single
 error: line on stderr, never with an exception."""
 
@@ -61,10 +61,10 @@ EFRON_AT_2 = dict.fromkeys(DEMO_MINIMUMS["efron"], 2)
 ALPHAS = st.one_of(st.floats(), st.sampled_from([0.1, 0.5]))
 
 
-def csv_file(directory, name, rows):
+def csv_file(directory, name, rows, header=("x", "y")):
     path = os.path.join(directory, name)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([["x", "y"], *rows])
+        csv.writer(fh).writerows([header, *rows])
     return path
 
 
@@ -110,6 +110,14 @@ def model(tmp_path_factory):
     return os.path.join(root, "model.qnet")
 
 
+@pytest.fixture(scope="module")
+def calibration(model):
+    root = os.path.dirname(model)
+    assert main(["calibrate", "--model", model, "--data", os.path.join(root, "d.csv"),
+                 "--target", "y", "--out", root]) == 0
+    return os.path.join(root, "calibration.txt")
+
+
 @FUZZ
 @given(rows=ROWS, values=TRAIN_KEYS)
 @example(rows=[["1e308", "1e308"], ["-1e308", "2"]], values={})
@@ -130,6 +138,28 @@ def test_calibrate(model, rows, alpha):
     with tempfile.TemporaryDirectory() as d:
         run(["calibrate", "--model", model, "--data", csv_file(d, "d.csv", rows),
              "--target", "y", f"--alpha={alpha!r}", "--out", d])
+
+
+@FUZZ
+@given(header=st.sampled_from([("x", "y"), ("x",), ("y", "x")]), rows=ROWS,
+       target=st.booleans(), calibrated=st.booleans(),
+       taus=st.lists(CELLS, max_size=3).map(",".join), alpha=ALPHAS)
+@example(header=("x", "y"), rows=[["0.5", "1"]], target=True, calibrated=True,
+         taus="", alpha=0.1)
+@example(header=("x",), rows=[["0.5"], ["-2"]], target=False, calibrated=False,
+         taus="0.05,0.5", alpha=0.5)
+@example(header=("y", "x"), rows=[["1", "0.5"]], target=True, calibrated=False,
+         taus="0.95,0.25", alpha=0.1)
+def test_predict(model, calibration, header, rows, target, calibrated, taus, alpha):
+    # the model was trained on the header x,y with y the target, and calibrated
+    # at alpha 0.1
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "out")
+        argv = ["predict", "--model", model, "--data", csv_file(d, "d.csv", rows, header),
+                f"--taus={taus}", f"--alpha={alpha!r}", "--out", out]
+        argv += ["--target", "y"] * target + ["--calibration", calibration] * calibrated
+        if run(argv)[0] == 0:
+            assert os.path.isfile(os.path.join(out, "predictions.csv"))
 
 
 @FUZZ

@@ -72,8 +72,8 @@ class TestNWEstimate:
         assert dup > base
 
     def test_empty_training_rejected(self):
-        train = Dataset(np.empty((0, 1)), np.empty(0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one row"):
+            train = Dataset(np.empty((0, 1)), np.empty(0))
             nw_estimate(train, [0.0], KernelConfig(1.0))
 
 

@@ -454,9 +454,15 @@ class TestLossAndGradient:
     def test_empty_batch_rejected(self):
         grid = QuantileGrid([0.5])
         net = QuantileNetwork([1, 1], grid=grid, monotone="penalty", seed=0)
-        empty = Dataset(np.empty((0, 1)), np.empty(0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one row"):
+            empty = Dataset(np.empty((0, 1)), np.empty(0))
             loss_and_gradient(net, empty, grid, TrainingConfig())
+
+    def test_empty_levels_rejected(self):
+        net = QuantileNetwork([1, 4, 1], head="implicit", embedding_dim=3,
+                              monotone="penalty", seed=0)
+        with pytest.raises(DomainError, match="levels must be non-empty"):
+            loss_and_gradient(net, Dataset([[0.0]], [0.0]), [], TrainingConfig())
 
     def test_penalty_zero_iff_sorted(self):
         grid = QuantileGrid([0.2, 0.8])
@@ -629,6 +635,12 @@ class TestTrain:
                                   monotone="penalty", seed=0)
         with pytest.raises(DomainError, match=message):
             train(net, make_dataset(2, n=16, d=2), levels, TrainingConfig(epochs=1))
+
+    def test_empty_levels_rejected(self):
+        net = QuantileNetwork([2, 4, 1], head="implicit", embedding_dim=3,
+                              monotone="penalty", seed=0)
+        with pytest.raises(DomainError, match="quantile grid needs at least one level"):
+            train(net, make_dataset(2, n=16, d=2), [], TrainingConfig(epochs=1))
 
     def test_training_error_pickles(self):
         exc = pickle.loads(pickle.dumps(TrainingError("epoch 3, batch 1: x")))
