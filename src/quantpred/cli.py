@@ -58,11 +58,10 @@ def ingest_features(path) -> tuple:
                     break
                 chunks.append(data)
                 before += len(lines)
-            line = 2 + sum(map(len, chunks))  # the header is row 1, and a run's line a row
             reader = csv.reader(itertools.chain(lines, rest))
-            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-                chunks.append(_parse_rows(path, header, rows, line))
-                line += len(rows)
+            while rows := [(before + reader.line_num, row)
+                           for row in itertools.islice(reader, _CHUNK_ROWS)]:
+                chunks.append(_parse_rows(path, header, rows))
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
@@ -90,11 +89,11 @@ def _loadtxt(lines, width):
     return data if data.shape == (len(lines), width) and np.isfinite(data).all() else None
 
 
-def _parse_rows(path, header, rows, line):
-    """rows, the first on the given line, as a float array of float() of each cell; a ragged
-    row, a cell float() rejects and a non-finite value are errors naming the line and column."""
+def _parse_rows(path, header, rows):
+    """rows, (line, row) pairs, as a float array of float() of each cell; a ragged row, a
+    cell float() rejects and a non-finite value are errors naming the line and column."""
     data = np.empty((len(rows), len(header)))
-    for r, row in enumerate(rows, start=line):
+    for i, (r, row) in enumerate(rows):
         if len(row) != len(header):
             raise DomainError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
@@ -108,7 +107,7 @@ def _parse_rows(path, header, rows, line):
                 raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
-            data[r - line, c] = v
+            data[i, c] = v
     return data
 
 

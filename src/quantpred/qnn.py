@@ -9,7 +9,6 @@ import base64
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -260,8 +259,7 @@ class QuantileNetwork:
             levels = np.append(levels, [alpha / 2, 1 - alpha / 2])
         cols = self._columns(levels)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.layer_dims[0]:
-            raise DomainError(f"model expects {self.layer_dims[0]} features, got {X.shape[1]}")
+        self._check_width(X)
         q = _predict(self, X, levels)
         q = q if cols is None else q[:, cols]
         if alpha is not None:
@@ -281,6 +279,10 @@ class QuantileNetwork:
                               f"available: {self.grid.levels.tolist()}")
         return hits.argmax(axis=1).tolist()
 
+    def _check_width(self, X):
+        if X.shape[1] != self.layer_dims[0]:
+            raise DomainError(f"model expects {self.layer_dims[0]} features, got {X.shape[1]}")
+
 
 # ---------------------------------------------------------------------------
 # The forward pass, the loss, and its gradient (manual backprop)
@@ -288,6 +290,16 @@ class QuantileNetwork:
 
 def _levels(taus):
     return taus.levels if isinstance(taus, QuantileGrid) else np.asarray(taus, float).ravel()
+
+
+def _training_levels(net: QuantileNetwork, taus):
+    """taus's levels, checked once per train or loss_and_gradient call: a QuantileGrid's,
+    increasing as penalty mode needs, and for a multi head exactly its grid."""
+    levels = QuantileGrid(_levels(taus)).levels
+    if net.head == "multi" and net._columns(levels) != list(range(len(net.grid))):
+        raise DomainError(f"training levels {levels.tolist()} are not the grid "
+                          f"{net.grid.levels.tolist()}")
+    return levels
 
 
 def _forward(net: QuantileNetwork, X, levels):
@@ -354,14 +366,17 @@ def _trunk_backward(net: QuantileNetwork, delta, activations):
 
 
 def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: TrainingConfig):
-    """Mean configured loss over the batch and grid, plus the crossing
+    """Mean configured loss over the batch and levels, plus the crossing
     penalty in penalty mode, with gradients in the network's parameter
-    order. batch needs only .features and .targets arrays."""
-    y, levels = batch.targets, _levels(taus)
-    if y.size == 0 or levels.size == 0:
-        raise DomainError("batch and levels must be non-empty")
-    kappa = config.huber_kappa
-    q, cache = _forward(net, batch.features, levels)
+    order. The levels and the batch's width are checked as train checks them."""
+    levels = _training_levels(net, taus)
+    net._check_width(batch.features)
+    return _loss_and_gradient(net, batch.features, batch.targets, levels, config.huber_kappa)
+
+
+def _loss_and_gradient(net: QuantileNetwork, X, y, levels, kappa):
+    """loss_and_gradient at the rows X, y, whose inputs its callers have checked."""
+    q, cache = _forward(net, X, levels)
     loss, u, slope, viol = _loss(net, q, y, levels, kappa)
     # the subgradient at the kink u = 0 is tau, the u >= 0 branch's slope
     dldu = np.abs(slope) * np.clip(u, -kappa, kappa) / kappa if kappa > 0 else slope
@@ -394,12 +409,6 @@ def loss_and_gradient(net: QuantileNetwork, batch: Dataset, taus, config: Traini
 # Training
 # ---------------------------------------------------------------------------
 
-class _Rows(NamedTuple):
-    """Rows taken from an already validated Dataset."""
-    features: np.ndarray
-    targets: np.ndarray
-
-
 def _full_loss(net, data, levels, kappa):
     """The training loss over all of data: a blocked forward pass, no
     gradients, and one mean over every row."""
@@ -414,12 +423,8 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
     worse than the starting point the best-seen parameters are restored,
     so the final loss never exceeds the initial one.
     """
-    # checked once here, not per batch in loss_and_gradient; increasing, as
-    # penalty mode would train toward crossing
-    levels = QuantileGrid(_levels(taus)).levels
-    if net.head == "multi" and net._columns(levels) != list(range(len(net.grid))):
-        raise DomainError(f"training levels {levels.tolist()} are not the grid "
-                          f"{net.grid.levels.tolist()}")
+    levels = _training_levels(net, taus)
+    net._check_width(data.features)  # before the net takes the data's standardization
     std = data.features.std(axis=0)
     net.x_mean, net.x_std = data.features.mean(axis=0), np.where(std > 0, std, 1.0)
     net.features = data.names
@@ -440,8 +445,8 @@ def train(net: QuantileNetwork, data: Dataset, taus, config: TrainingConfig):
         order = rng.permutation(data.n)
         for start in range(0, data.n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch = _Rows(data.features[idx], data.targets[idx])
-            loss, grads = loss_and_gradient(net, batch, levels, config)
+            loss, grads = _loss_and_gradient(net, data.features[idx], data.targets[idx],
+                                             levels, config.huber_kappa)
             if not math.isfinite(loss):
                 raise TrainingError(f"epoch {epoch}, batch {start // config.batch_size}: "
                                     f"non-finite loss {loss}")

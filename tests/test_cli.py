@@ -92,6 +92,15 @@ class TestIngestCsv:
         with pytest.raises(DomainError, match=r"d\.csv:3: column 'x'"):
             ingest_csv(p, "y")
 
+    @pytest.mark.parametrize("text", ['"x\nz",y\n1,2\nfoo,3\n', 'x,y\n"1\n",2\nfoo,3\n'],
+                             ids=["two-line-header", "two-line-cell"])
+    def test_error_names_the_physical_line(self, tmp_path, text):
+        # the reader counts the lines, so a multi-line header or cell shifts
+        # every later row's line; foo is on line 4
+        p = write(tmp_path / "d.csv", text)
+        with pytest.raises(DomainError, match=r"d\.csv:4: column '.*': non-numeric cell 'foo'"):
+            ingest_csv(p, "y")
+
     def test_non_numeric_cell(self, tmp_path):
         p = write(tmp_path / "d.csv", "x,y\n1,hello\n")
         with pytest.raises(DomainError, match="column 'y': non-numeric cell 'hello'"):
@@ -135,7 +144,8 @@ class TestIngestFeatures:
 
 def per_cell_ingest(path):
     """ingest_features as one loop of float() over every cell, the way it
-    was before the bulk conversion: (array, header), or DomainError."""
+    was before the bulk conversion: (array, header), or DomainError. An
+    error names the line its row ends on, by csv.reader's count."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -143,7 +153,7 @@ def per_cell_ingest(path):
         except StopIteration:
             raise DomainError(f"{path}: empty file") from None
         try:
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not header or any(not h.strip() for h in header):
@@ -152,7 +162,7 @@ def per_cell_ingest(path):
     if not rows:
         raise DomainError(f"{path}: no data rows")
     data = np.empty((len(rows), len(header)))
-    for r, row in enumerate(rows, start=2):  # header is line 1
+    for i, (r, row) in enumerate(rows):
         if len(row) != len(header):
             raise DomainError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
         for c, cell in enumerate(row):
@@ -166,7 +176,7 @@ def per_cell_ingest(path):
                 raise DomainError(
                     f"{path}:{r}: column {header[c]!r}: non-finite value {cell!r}"
                 )
-            data[r - 2, c] = v
+            data[i, c] = v
     return data, header
 
 
@@ -255,8 +265,8 @@ class TestBulkIngest:
                              ids=["non-numeric", "past-field-limit", "ragged"])
     def test_line_numbers_after_a_late_switch(self, tmp_path, header, quoted, bad):
         # a clean run, then a quoted cell that hands the rest to csv.reader, then
-        # more than two of its chunks of rows before the bad row: a csv.Error names
-        # the physical line, the other errors the row, as the per-cell loop does
+        # more than two of its chunks of rows before the bad row: every error
+        # names the physical line, as the per-cell loop does
         valid = "".join(f"{i / 7!r},{-i}\n" for i in range(cli._CHUNK_ROWS))
         rest = "".join(f"{i},{i / 3!r}\n" for i in range(2100))
         path = write(tmp_path / "d.csv", f"{header}{valid}{quoted}{rest}{bad}\n3,4\n")

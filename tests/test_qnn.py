@@ -458,12 +458,6 @@ class TestLossAndGradient:
             empty = Dataset(np.empty((0, 1)), np.empty(0))
             loss_and_gradient(net, empty, grid, TrainingConfig())
 
-    def test_empty_levels_rejected(self):
-        net = QuantileNetwork([1, 4, 1], head="implicit", embedding_dim=3,
-                              monotone="penalty", seed=0)
-        with pytest.raises(DomainError, match="levels must be non-empty"):
-            loss_and_gradient(net, Dataset([[0.0]], [0.0]), [], TrainingConfig())
-
     def test_penalty_zero_iff_sorted(self):
         grid = QuantileGrid([0.2, 0.8])
         ds = Dataset([[0.0]], [0.0])
@@ -609,38 +603,66 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(net, ds, grid, cfg)
 
+    @pytest.mark.parametrize("entry", [train, loss_and_gradient],
+                             ids=["train", "loss_and_gradient"])
     @pytest.mark.parametrize("head, levels, message", [
         # one level would broadcast over the three outputs
         ("multi", [0.5], r"training levels \[0.5\] are not the grid \[0.05, 0.5, 0.95\]"),
         # the saved grid would mislabel every column
         ("multi", [0.2, 0.5, 0.8], r"level 0.2 not on the grid"),
         ("multi", [0.05, 0.5], r"training levels \[0.05, 0.5\] are not the grid"),
+        ("multi", [0.2, 0.5], r"level 0.2 not on the grid"),
+        ("implicit", [], r"quantile grid needs at least one level"),
         ("implicit", [0.5, 1.0], r"strictly inside \(0, 1\), got \[0.5, 1.0\]"),
         ("implicit", [np.nan], r"strictly inside \(0, 1\), got \[nan\]"),
         # penalty mode would train toward crossing quantiles
         ("implicit", [0.9, 0.5, 0.1], r"levels must be strictly increasing, got \[0.9, 0.5, 0.1\]"),
         ("implicit", [0.5, 0.5], r"levels must be strictly increasing"),
     ])
-    def test_levels_checked_before_the_first_pass(self, monkeypatch, head, levels,
+    def test_levels_checked_before_the_first_pass(self, monkeypatch, entry, head, levels,
                                                   message):
         def never(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(qnn, "_predict", never)
-        monkeypatch.setattr(qnn, "loss_and_gradient", never)
+        monkeypatch.setattr(qnn, "_forward", never)  # every pass runs it
         if head == "multi":
-            net = QuantileNetwork([2, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
+            net = QuantileNetwork([1, 4, 3], grid=QuantileGrid([0.05, 0.5, 0.95]), seed=0)
         else:
-            net = QuantileNetwork([2, 4, 1], head="implicit", embedding_dim=3,
+            net = QuantileNetwork([1, 4, 1], head="implicit", embedding_dim=3,
                                   monotone="penalty", seed=0)
         with pytest.raises(DomainError, match=message):
-            train(net, make_dataset(2, n=16, d=2), levels, TrainingConfig(epochs=1))
+            entry(net, make_dataset(2, n=16, d=1), levels, TrainingConfig(epochs=1))
 
-    def test_empty_levels_rejected(self):
-        net = QuantileNetwork([2, 4, 1], head="implicit", embedding_dim=3,
-                              monotone="penalty", seed=0)
-        with pytest.raises(DomainError, match="quantile grid needs at least one level"):
-            train(net, make_dataset(2, n=16, d=2), [], TrainingConfig(epochs=1))
+    @pytest.mark.parametrize("entry", [train, loss_and_gradient],
+                             ids=["train", "loss_and_gradient"])
+    @pytest.mark.parametrize("dims", [[4, 8, 2], [1, 8, 2]])  # one input column takes np.dot
+    def test_width_checked_before_the_net_changes(self, entry, dims):
+        grid = QuantileGrid([0.25, 0.75])
+        net = QuantileNetwork(dims, grid=grid, seed=0)
+        net.x_mean += 0.5
+        before = net.x_mean.copy(), net.x_std.copy(), net.features, net.theta.tobytes()
+        data = make_dataset(2, n=16, d=3)
+        data = Dataset(data.features, data.targets, ("a", "b", "c"))
+        with pytest.raises(DomainError, match=f"model expects {dims[0]} features, got 3"):
+            entry(net, data, grid, TrainingConfig(epochs=1))
+        assert np.array_equal(net.x_mean, before[0]) and np.array_equal(net.x_std, before[1])
+        assert (net.features, net.theta.tobytes()) == before[2:]
+
+    def test_train_never_calls_the_public_step(self, monkeypatch):
+        # the public step checks its inputs on every call; train checks them
+        # once, so its steps run the unchecked core
+        grid = QuantileGrid([0.1, 0.5, 0.9])
+        ds = make_dataset(21, n=40, d=2)
+        cfg = TrainingConfig(epochs=2, batch_size=16, seed=3)
+        expected = train(QuantileNetwork([2, 6, 3], grid=grid, seed=4), ds, grid, cfg)
+
+        def never(*args):
+            raise AssertionError("train called loss_and_gradient")
+
+        monkeypatch.setattr(qnn, "loss_and_gradient", never)
+        net, trace = train(QuantileNetwork([2, 6, 3], grid=grid, seed=4), ds, grid, cfg)
+        assert trace == expected[1]
+        assert net.theta.tobytes() == expected[0].theta.tobytes()
 
     def test_training_error_pickles(self):
         exc = pickle.loads(pickle.dumps(TrainingError("epoch 3, batch 1: x")))
