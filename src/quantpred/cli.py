@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -138,37 +139,34 @@ def _check_features(path, names, source, expected):
 # Configuration
 # ---------------------------------------------------------------------------
 
+# the settings whose defaults a library signature states, by keyword, per owner
+_NET_KEYS = ("activation", "monotone", "penalty_weight", "seed")
+_FIT_KEYS = ("learning_rate", "batch_size", "epochs", "huber_kappa", "seed")
+_COVERAGE_KEYS = ("dgp", "n_train", "n_cal", "n_test", "alpha", "replications", "epochs")
+_NORMAL_KEYS = ("n", "seed")
+
+
+def _keywords(owner, names, cfg=None):
+    """owner's keyword defaults of names as text; given a config section, the
+    section's text of each at the type of its default."""
+    params = inspect.signature(owner).parameters
+    if cfg is None:
+        return {k: str(params[k].default) for k in names}
+    return {k: type(params[k].default)(cfg[k]) for k in names}
+
+
+# the library's defaults where it states them, and the CLI's own elsewhere
 _CONFIG_DEFAULTS = {
-    "train": {
-        "taus": "0.05,0.25,0.5,0.75,0.95",
-        "hidden": "64,64",
-        "activation": "relu",
-        "monotone": "increments",
-        "penalty_weight": "1.0",
-        "epochs": "100",
-        "learning_rate": "0.01",
-        "batch_size": "64",
-        "huber_kappa": "0.0",
-        "seed": "0",
-    },
+    "train": {"taus": "0.05,0.25,0.5,0.75,0.95", "hidden": "64,64",
+              **_keywords(qnn.QuantileNetwork, _NET_KEYS),
+              **_keywords(qnn.TrainingConfig, _FIT_KEYS)},  # one seed feeds both
     "calibrate": {"alpha": "0.1"},
     "predict": {"alpha": "0.1", "taus": ""},
     "eval": {"alpha": "0.1", "method": "qnn", "bandwidth": "0.3"},
-    "demo": {
-        "seed": "4",
-        "n": "100",
-        "replications": "200",
-        "efron_n": "1001",
-        "efron_replications": "10000",
-        "sweep_replications": "20000",
-        "oracle_replications": "50000",
-        "n_train": "1000",
-        "n_cal": "500",
-        "n_test": "1000",
-        "alpha": "0.1",
-        "dgp": "heteroscedastic",
-        "epochs": "60",
-    },
+    "demo": {"efron_n": "1001", "efron_replications": "10000",
+             "sweep_replications": "20000", "oracle_replications": "50000",
+             **_keywords(experiments.CoverageBenchConfig, _COVERAGE_KEYS),
+             **_keywords(experiments.run_normal_normal_demo, _NORMAL_KEYS)},
 }
 
 
@@ -257,18 +255,9 @@ def cmd_train(args, cfg):
     data = ingest_csv(args.data, args.target)
     grid = _parse_taus(cfg["taus"])
     hidden = _parse_list(cfg["hidden"], int, "hidden-layer")
-    net = qnn.QuantileNetwork(
-        [data.d, *hidden, len(grid)], grid=grid,
-        activation=cfg["activation"], monotone=cfg["monotone"],
-        penalty_weight=float(cfg["penalty_weight"]), seed=int(cfg["seed"]),
-    )
-    tc = qnn.TrainingConfig(
-        learning_rate=float(cfg["learning_rate"]),
-        batch_size=int(cfg["batch_size"]),
-        epochs=int(cfg["epochs"]),
-        huber_kappa=float(cfg["huber_kappa"]),
-        seed=int(cfg["seed"]),
-    )
+    net = qnn.QuantileNetwork([data.d, *hidden, len(grid)], grid=grid,
+                              **_keywords(qnn.QuantileNetwork, _NET_KEYS, cfg))
+    tc = qnn.TrainingConfig(**_keywords(qnn.TrainingConfig, _FIT_KEYS, cfg))
     net, trace = qnn.train(net, data, grid, tc)
 
     qnn.save(net, os.path.join(args.out, "model.qnet"))
@@ -380,16 +369,9 @@ def cmd_demo(args, cfg):
             oracle_replications=_at_least(cfg, "oracle_replications", 2),
         )
     else:  # coverage; argparse admits no other demo
-        experiments.write_coverage_report(
-            args.out,
-            experiments.CoverageBenchConfig(
-                dgp=cfg["dgp"], n_train=int(cfg["n_train"]),
-                n_cal=int(cfg["n_cal"]), n_test=int(cfg["n_test"]),
-                alpha=float(cfg["alpha"]),
-                replications=int(cfg["replications"]),
-                seed=int(cfg["seed"]), epochs=int(cfg["epochs"]),
-            ),
-        )
+        experiments.write_coverage_report(args.out, experiments.CoverageBenchConfig(
+            **_keywords(experiments.CoverageBenchConfig, _COVERAGE_KEYS, cfg),
+            seed=int(cfg["seed"])))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ demo reproducibility."""
 
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
@@ -445,6 +446,68 @@ class TestConfig:
         with open(out / "train_meta.json") as fh:
             echoed = json.load(fh)["train"]
         assert (echoed["taus"], echoed["seed"]) == ("0.1,0.9", "0")
+
+    def test_defaults_table(self):
+        assert load_config() == {
+            "train": {
+                "taus": "0.05,0.25,0.5,0.75,0.95", "hidden": "64,64",
+                "activation": "relu", "monotone": "increments",
+                "penalty_weight": "1.0", "epochs": "100", "learning_rate": "0.01",
+                "batch_size": "64", "huber_kappa": "0.0", "seed": "0",
+            },
+            "calibrate": {"alpha": "0.1"},
+            "predict": {"alpha": "0.1", "taus": ""},
+            "eval": {"alpha": "0.1", "method": "qnn", "bandwidth": "0.3"},
+            "demo": {
+                "seed": "4", "n": "100", "replications": "200", "efron_n": "1001",
+                "efron_replications": "10000", "sweep_replications": "20000",
+                "oracle_replications": "50000", "n_train": "1000", "n_cal": "500",
+                "n_test": "1000", "alpha": "0.1", "dgp": "heteroscedastic",
+                "epochs": "60",
+            },
+        }
+
+    def test_shared_defaults_are_the_libraries(self):
+        def default(owner, name):
+            return str(inspect.signature(owner).parameters[name].default)
+
+        cfg = load_config()
+        assert cfg["train"]["seed"] == default(qnn.QuantileNetwork, "seed")
+        assert cfg["train"]["seed"] == default(qnn.TrainingConfig, "seed")
+        for key in ("seed", "n"):
+            assert cfg["demo"][key] == default(experiments.run_normal_normal_demo, key)
+
+    @pytest.mark.parametrize("section, key", [
+        ("train", "head"), ("train", "embedding_dim"), ("train", "layer_dims"),
+        ("train", "grid"), ("demo", "out_dir"),
+    ])
+    def test_unlisted_library_keyword_rejected(self, tmp_path, section, key):
+        # a keyword default the cli does not list is no config key
+        p = write(tmp_path / "c.ini", f"[{section}]\n{key} = 1\n")
+        with pytest.raises(DomainError, match=rf"unknown key '{key}' in \[{section}\]"):
+            load_config(p)
+
+    def test_penalty_weight_reaches_the_model_as_a_float(self, tmp_path):
+        data = make_data_csv(tmp_path / "d.csv", 20)
+        conf = write(tmp_path / "c.ini", "[train]\nepochs = 1\nhidden = 2\n"
+                                         "monotone = penalty\npenalty_weight = 2\n")
+        out = tmp_path / "out"
+        assert main(["train", "--data", data, "--target", "y", "--config", conf,
+                     "--out", str(out)]) == 0
+        weight = qnn.load(str(out / "model.qnet")).penalty_weight
+        assert type(weight) is float and weight == 2.0
+
+    def test_coverage_settings_reach_the_library_typed(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiments, "write_coverage_report",
+                            lambda out_dir, config: seen.append(config))
+        conf = write(tmp_path / "c.ini", "[demo]\nn_train = 150\nalpha = 0.2\n")
+        assert main(["demo", "coverage", "--config", conf, "--seed", "9",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert seen == [experiments.CoverageBenchConfig(
+            dgp="heteroscedastic", n_train=150, n_cal=500, n_test=1000, alpha=0.2,
+            replications=200, seed=9, epochs=60)]
+        assert type(seen[0].n_train) is int and type(seen[0].alpha) is float
 
 
 @pytest.fixture(scope="module")
