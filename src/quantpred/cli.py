@@ -177,14 +177,25 @@ def _parses(kind, text):
         return False
 
 
+def _checked(where, section, key, value):
+    """value, the text given at where for section's key, once it is a finite
+    number of each kind, int or float, that key's default is: the one check of
+    a config file's value and of a flag's."""
+    for kind, noun in ((int, "an integer"), (float, "a finite number")):
+        if _parses(kind, _CONFIG_DEFAULTS[section][key]) and not _parses(kind, value):
+            raise DomainError(f"{where}{key} = {value!r} is not {noun}")
+    return value
+
+
 def load_config(path=None):
-    """Defaults merged with an INI-style config file; unknown keys, file
-    syntax errors and anything but a finite number where the default is a
-    number are rejected."""
+    """Defaults merged with an INI-style config file, read literally; unknown
+    keys, file syntax errors and anything but a finite number where the
+    default is a number are rejected."""
     cfg = {section: dict(values) for section, values in _CONFIG_DEFAULTS.items()}
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # no header names the empty section, so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
@@ -198,22 +209,18 @@ def load_config(path=None):
         for key, value in pairs:
             if key not in cfg[section]:
                 raise DomainError(f"{path}: unknown key {key!r} in [{section}]")
-            for kind, noun in ((int, "an integer"), (float, "a finite number")):
-                if _parses(kind, cfg[section][key]) and not _parses(kind, value):
-                    raise DomainError(
-                        f"{path}: [{section}] {key} = {value!r} is not {noun}")
-            cfg[section][key] = value
+            cfg[section][key] = _checked(f"{path}: [{section}] ", section, key, value)
     return cfg
 
 
 def _settings(args):
     """The command's config section: the defaults, then --config, then each
-    flag of the same name given with a non-empty value."""
+    flag of the same name given with a non-empty value, checked as in a file."""
     cfg = load_config(args.config)[args.command]
     for key in cfg:
         flag = getattr(args, key, None)
         if flag not in (None, ""):
-            cfg[key] = str(flag)
+            cfg[key] = _checked("--", args.command, key, flag)
     return cfg
 
 
@@ -382,52 +389,45 @@ def build_parser():
     p = argparse.ArgumentParser(prog="quantpred")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *settings):
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", required=True)
+        for key in settings:  # as text, which _settings checks as a config value
+            sp.add_argument(f"--{key}", default=None)
 
     sp = sub.add_parser("train", help="fit a quantile network")
-    common(sp)
+    common(sp, "taus", "seed", "monotone")
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--taus", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--monotone", choices=["increments", "penalty"], default=None)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("calibrate", help="conformal calibration of a model")
-    common(sp)
+    common(sp, "alpha")
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("predict", help="quantile/interval predictions")
-    common(sp)
+    common(sp, "alpha", "taus")
     sp.add_argument("--model", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", default=None)
     sp.add_argument("--calibration", default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--taus", default=None)
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("eval", help="coverage/width on labeled data")
-    common(sp)
+    common(sp, "method", "alpha")
     sp.add_argument("--model", default=None)
     sp.add_argument("--train-data", default=None)
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--method", choices=["qnn", "kernel"], default=None)
     sp.add_argument("--calibration", default=None)
-    sp.add_argument("--alpha", type=float, default=None)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("demo", help="run a bundled experiment")
     sp.add_argument("which", choices=["normal-normal", "efron", "coverage"])
-    common(sp)
-    sp.add_argument("--seed", type=int, default=None)
+    common(sp, "seed")
     sp.set_defaults(func=cmd_demo)
 
     return p

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -374,6 +375,17 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"unknown config section \[serve\]"):
             load_config(p)
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nalpha = 0.2\n",
+        "[calibrate]\nalpha = 0.1\n[DEFAULT]\nbogus = 1\n",
+    ], ids=["alpha", "bogus"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # read literally: [DEFAULT] is neither ignored nor merged into the others
+        p = write(tmp_path / "c.ini", text)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{p}: unknown config section [DEFAULT]")):
+            load_config(p)
+
     @pytest.mark.parametrize("section, key", [
         ("train", "momentum"), ("calibrate", "split"), ("calibrate", "seed"),
         ("eval", "seed"),
@@ -447,6 +459,13 @@ class TestConfig:
             echoed = json.load(fh)["train"]
         assert (echoed["taus"], echoed["seed"]) == ("0.1,0.9", "0")
 
+    def test_percent_is_plain_text(self, tmp_path):
+        # no interpolation: at a ConfigParser's default this seed would read 1
+        p = write(tmp_path / "c.ini", "[train]\nepochs = 1\nseed = %(epochs)s\n")
+        with pytest.raises(DomainError, match=re.escape(
+                f"{p}: [train] seed = '%(epochs)s' is not an integer")):
+            load_config(p)
+
     def test_defaults_table(self):
         assert load_config() == {
             "train": {
@@ -508,6 +527,58 @@ class TestConfig:
             dgp="heteroscedastic", n_train=150, n_cal=500, n_test=1000, alpha=0.2,
             replications=200, seed=9, epochs=60)]
         assert type(seen[0].n_train) is int and type(seen[0].alpha) is float
+
+
+class TestFlagConfigParity:
+    """A setting given as a flag ends as it does given in the config file: one
+    rule checks both, and the library or the command owns each choice list."""
+
+    @staticmethod
+    def _argv(pipeline, command):
+        model, target = pipeline["model"], ["--target", "y"]
+        return {
+            "train": ["train", "--data", pipeline["train_csv"], *target],
+            "demo": ["demo", "coverage"],
+            "calibrate": ["calibrate", "--model", model, "--data", pipeline["cal_csv"],
+                          *target],
+            "predict": ["predict", "--model", model, "--data", pipeline["test_csv"],
+                        *target],
+            "eval": ["eval", "--model", model, "--data", pipeline["test_csv"], *target],
+        }[command]
+
+    CASES = [
+        ("train", "seed", "abc", "seed = 'abc' is not an integer"),
+        ("demo", "seed", "abc", "seed = 'abc' is not an integer"),
+        *[(command, "alpha", value, f"alpha = {value!r} is not a finite number")
+          for command in ("calibrate", "predict", "eval")
+          for value in ("abc", "nan", "inf")],
+        ("train", "monotone", "foo", "unknown monotone mode 'foo'"),
+        ("eval", "method", "foo", "unknown method 'foo'"),
+    ]
+
+    @pytest.mark.parametrize("command, key, value, rule", CASES,
+                             ids=["-".join(case[:3]) for case in CASES])
+    def test_same_error(self, pipeline, tmp_path, capsys, command, key, value, rule):
+        conf = write(tmp_path / "c.ini", f"[{command}]\n{key} = {value}\n")
+        # a checked value's line names where it came from; a choice's does not
+        named = rule.startswith(f"{key} = ")
+        for out, where, given in (
+                (tmp_path / "file", f"{conf}: [{command}] ", ["--config", conf]),
+                (tmp_path / "flag", "--", [f"--{key}", value])):
+            assert main(self._argv(pipeline, command) + given + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {where if named else ''}{rule}"]
+            assert not out.exists()
+
+    def test_flag_echoed_as_typed(self, pipeline, tmp_path):
+        conf = write(tmp_path / "c.ini", "[calibrate]\nalpha = .1\n")
+        echoed = []
+        for name, given in (("file", ["--config", conf]), ("flag", ["--alpha", ".1"])):
+            out = tmp_path / name
+            assert main(self._argv(pipeline, "calibrate") + given + ["--out", str(out)]) == 0
+            with open(out / "calibrate_meta.json") as fh:
+                echoed.append(json.load(fh))
+        assert echoed == [{"calibrate": {"alpha": ".1"}}] * 2
 
 
 @pytest.fixture(scope="module")
@@ -729,15 +800,18 @@ class TestPipeline:
             f"error: eval with method {method} takes no {flag}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha", ["1.5", "nan", "0"])
+    @pytest.mark.parametrize("alpha, line", [
+        ("1.5", "error: alpha must lie strictly inside (0, 1)"),
+        ("nan", "error: --alpha = 'nan' is not a finite number"),  # the settings check
+        ("0", "error: alpha must lie strictly inside (0, 1)"),
+    ], ids=["1.5", "nan", "0"])
     def test_predict_rejects_bad_alpha_without_calibration(self, pipeline, tmp_path,
-                                                           capsys, alpha):
+                                                           capsys, alpha, line):
         out = tmp_path / "p"
         rc = main(["predict", "--model", pipeline["model"], "--data", pipeline["test_csv"],
                    "--target", "y", "--alpha", alpha, "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: alpha must lie strictly inside (0, 1)"]
+        assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
 
     @staticmethod
@@ -1215,17 +1289,20 @@ class TestErrorSurface:
         assert not out.exists()
         assert pools == ([2] if threaded else [])
 
-    @pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+    @pytest.mark.parametrize("alpha, line", [
+        ("0", "error: alpha must lie strictly inside (0, 1)"),
+        ("1", "error: alpha must lie strictly inside (0, 1)"),
+        ("nan", "error: --alpha = 'nan' is not a finite number"),  # the settings check
+    ], ids=["0", "1", "nan"])
     def test_kernel_alpha_checked_before_nw(self, pipeline, tmp_path, capsys,
-                                            monkeypatch, alpha):
+                                            monkeypatch, alpha, line):
         calls = []
         monkeypatch.setattr(kernel, "nw_predict", lambda *a: calls.append(a))
         rc = main(["eval", "--method", "kernel", "--train-data", pipeline["train_csv"],
                    "--data", pipeline["test_csv"], "--target", "y",
                    "--alpha", alpha, "--out", str(tmp_path / "o")])
         assert rc == 1 and calls == []
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: alpha must lie strictly inside (0, 1)"]
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 class TestArtifactErrors:
