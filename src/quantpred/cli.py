@@ -20,7 +20,7 @@ import numpy as np
 
 from . import conformal, experiments, kernel, qnn
 from .experiments import write_csv
-from .numerics import DomainError, check_alpha
+from .numerics import DomainError, RandomSource, check_alpha
 
 # rows per np.loadtxt call and per csv.reader block in ingest_features, and
 # per block of predictions.csv rows converted to Python floats
@@ -139,20 +139,25 @@ def _check_features(path, names, source, expected):
 # Configuration
 # ---------------------------------------------------------------------------
 
-# the settings whose defaults a library signature states, by keyword, per owner
+# the settings whose defaults a library signature states, per owner: config
+# keys named as the owner's keywords, or a map from config key to keyword
 _NET_KEYS = ("activation", "monotone", "penalty_weight", "seed")
 _FIT_KEYS = ("learning_rate", "batch_size", "epochs", "huber_kappa", "seed")
 _COVERAGE_KEYS = ("dgp", "n_train", "n_cal", "n_test", "alpha", "replications", "epochs")
 _NORMAL_KEYS = ("n", "seed")
+_EFRON_KEYS = {"efron_n": "n", "efron_replications": "m_replications"}
+_SWEEP_KEYS = {"sweep_replications": "m_replications",
+               "oracle_replications": "oracle_replications"}
 
 
-def _keywords(owner, names, cfg=None):
-    """owner's keyword defaults of names as text; given a config section, the
-    section's text of each at the type of its default."""
+def _keywords(owner, keys, cfg=None):
+    """owner's keyword defaults of keys as text, by config key; given a config
+    section, the section's text of each at the type of its default, by keyword."""
+    keys = keys if isinstance(keys, dict) else dict(zip(keys, keys))
     params = inspect.signature(owner).parameters
     if cfg is None:
-        return {k: str(params[k].default) for k in names}
-    return {k: type(params[k].default)(cfg[k]) for k in names}
+        return {k: str(params[p].default) for k, p in keys.items()}
+    return {p: type(params[p].default)(cfg[k]) for k, p in keys.items()}
 
 
 # the library's defaults where it states them, and the CLI's own elsewhere
@@ -163,8 +168,8 @@ _CONFIG_DEFAULTS = {
     "calibrate": {"alpha": "0.1"},
     "predict": {"alpha": "0.1", "taus": ""},
     "eval": {"alpha": "0.1", "method": "qnn", "bandwidth": "0.3"},
-    "demo": {"efron_n": "1001", "efron_replications": "10000",
-             "sweep_replications": "20000", "oracle_replications": "50000",
+    "demo": {**_keywords(experiments.EfronConfig, _EFRON_KEYS),
+             **_keywords(experiments.efron_prediction_sweep, _SWEEP_KEYS),
              **_keywords(experiments.CoverageBenchConfig, _COVERAGE_KEYS),
              **_keywords(experiments.run_normal_normal_demo, _NORMAL_KEYS)},
 }
@@ -237,7 +242,7 @@ def _parse_taus(text):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each reads its resolved config section and writes its outputs
+# Commands: each checks its config section, calls make_out, then reads its inputs
 # ---------------------------------------------------------------------------
 
 def _load_model(path):
@@ -258,14 +263,15 @@ def _load_calibration(path, alpha):
     return cal
 
 
-def cmd_train(args, cfg):
-    data = ingest_csv(args.data, args.target)
+def cmd_train(args, cfg, make_out):
     grid = _parse_taus(cfg["taus"])
-    hidden = _parse_list(cfg["hidden"], int, "hidden-layer")
-    net = qnn.QuantileNetwork([data.d, *hidden, len(grid)], grid=grid,
-                              **_keywords(qnn.QuantileNetwork, _NET_KEYS, cfg))
+    layers = [*_parse_list(cfg["hidden"], int, "hidden-layer"), len(grid)]
+    net_kw = dict(grid=grid, **_keywords(qnn.QuantileNetwork, _NET_KEYS, cfg))
+    qnn.QuantileNetwork([1, *layers], **net_kw)  # the network's checks, on one column
     tc = qnn.TrainingConfig(**_keywords(qnn.TrainingConfig, _FIT_KEYS, cfg))
-    net, trace = qnn.train(net, data, grid, tc)
+    make_out()
+    data = ingest_csv(args.data, args.target)
+    net, trace = qnn.train(qnn.QuantileNetwork([data.d, *layers], **net_kw), data, grid, tc)
 
     qnn.save(net, os.path.join(args.out, "model.qnet"))
     preds = net.forward_batch(data.features)
@@ -277,8 +283,9 @@ def cmd_train(args, cfg):
               enumerate(trace))
 
 
-def cmd_calibrate(args, cfg):
-    alpha = float(cfg["alpha"])
+def cmd_calibrate(args, cfg, make_out):
+    alpha = check_alpha(float(cfg["alpha"]))
+    make_out()
     net = _load_model(args.model)
     data = ingest_csv(args.data, args.target)
     _check_features(args.data, data.names, args.model, net.features)
@@ -288,18 +295,17 @@ def cmd_calibrate(args, cfg):
         fh.write(cal.to_record())
 
 
-def cmd_predict(args, cfg):
-    alpha = float(cfg["alpha"])
+def cmd_predict(args, cfg, make_out):
+    alpha = check_alpha(float(cfg["alpha"]))
+    taus = _parse_taus(cfg["taus"]).levels if cfg["taus"] else None
+    make_out()
     net = _load_model(args.model)
     cal = _load_calibration(args.calibration, alpha) if args.calibration else None
-    if cal is None:  # forward_batch checks it on the interval path
-        check_alpha(alpha)
     X, names = _split(*ingest_features(args.data), args.target)
     _check_features(args.data, names, args.model, net.features)
 
-    levels = (_parse_taus(cfg["taus"]).levels if cfg["taus"]
-              else (net.grid.levels if net.grid is not None
-                    else np.array([alpha / 2, 0.5, 1 - alpha / 2])))
+    levels = (taus if taus is not None else net.grid.levels if net.grid is not None
+              else np.array([alpha / 2, 0.5, 1 - alpha / 2]))
     # one network pass gives the quantile columns and the interval's two
     q = net.forward_batch(X, levels, None if cal is None else alpha)
     names = ["row"] + [f"q{t}" for t in levels]
@@ -314,11 +320,11 @@ def cmd_predict(args, cfg):
               ([i, *row] for i, row in enumerate(rows)))
 
 
-def cmd_eval(args, cfg):
-    alpha, method = float(cfg["alpha"]), cfg["method"]
+def cmd_eval(args, cfg, make_out):
+    alpha, method = check_alpha(float(cfg["alpha"])), cfg["method"]
     if method not in ("qnn", "kernel"):
         raise DomainError(f"unknown method {method!r}")
-    # the method's own flag, and no other method's, before any file is read
+    # the method's own flag, and no other method's
     needs, takes_no = (("model", ["train_data"]) if method == "qnn"
                        else ("train_data", ["model", "calibration"]))
     if not getattr(args, needs):
@@ -326,6 +332,8 @@ def cmd_eval(args, cfg):
     for name in takes_no:
         if getattr(args, name):
             raise DomainError(f"eval with method {method} takes no --{name.replace('_', '-')}")
+    nw = kernel.KernelConfig(float(cfg["bandwidth"]))
+    make_out()
     data = ingest_csv(args.data, args.target)
 
     if method == "qnn":
@@ -343,9 +351,8 @@ def cmd_eval(args, cfg):
         _check_features(args.data, data.names, args.train_data, train.names)
         # even rows fit the estimator, odd rows calibrate its half-width
         X, y = train.features, train.targets
-        lo, hi = kernel.nw_intervals(
-            qnn.Dataset(X[0::2], y[0::2]), X[1::2], y[1::2], data.features,
-            kernel.KernelConfig(float(cfg["bandwidth"])), alpha)
+        lo, hi = kernel.nw_intervals(qnn.Dataset(X[0::2], y[0::2]), X[1::2], y[1::2],
+                                     data.features, nw, alpha)
 
     coverage, mean_width = conformal.coverage(lo, hi, data.targets)
     write_csv(os.path.join(args.out, "eval.csv"),
@@ -354,31 +361,31 @@ def cmd_eval(args, cfg):
 
 
 def _at_least(cfg, key, minimum):
-    """The integer demo setting key, checked before any demo work starts."""
+    """The integer demo setting key: a size no library object checks, by that name, when built."""
     value = int(cfg[key])
     if value < minimum:
         raise DomainError(f"[demo] {key} must be at least {minimum}, got {value}")
     return value
 
 
-def cmd_demo(args, cfg):
+def cmd_demo(args, cfg, make_out):
+    seed = RandomSource(int(cfg["seed"])).seed  # the seed, as RandomSource accepts it
     if args.which == "normal-normal":
-        experiments.run_normal_normal_demo(n=_at_least(cfg, "n", 1),
-                                           seed=int(cfg["seed"]), out_dir=args.out)
+        n = _at_least(cfg, "n", 1)
+        make_out()
+        experiments.run_normal_normal_demo(n=n, seed=seed, out_dir=args.out)
     elif args.which == "efron":
-        # the standard errors take sample variances, which need two replications
-        experiments.write_efron_report(
-            args.out,
-            experiments.EfronConfig(n=_at_least(cfg, "efron_n", 2),
-                                    m_replications=_at_least(cfg, "efron_replications", 2),
-                                    seed=int(cfg["seed"])),
-            m_replications=_at_least(cfg, "sweep_replications", 2),
-            oracle_replications=_at_least(cfg, "oracle_replications", 2),
-        )
+        # at least 2, as a standard error takes a variance; by key, since two set m_replications
+        n, m, sweep, oracle = (_at_least(cfg, key, 2) for key in (
+            "efron_n", "efron_replications", "sweep_replications", "oracle_replications"))
+        est = experiments.EfronConfig(n=n, m_replications=m, seed=seed)
+        make_out()
+        experiments.write_efron_report(args.out, est, sweep, oracle)
     else:  # coverage; argparse admits no other demo
-        experiments.write_coverage_report(args.out, experiments.CoverageBenchConfig(
-            **_keywords(experiments.CoverageBenchConfig, _COVERAGE_KEYS, cfg),
-            seed=int(cfg["seed"])))
+        config = experiments.CoverageBenchConfig(
+            **_keywords(experiments.CoverageBenchConfig, _COVERAGE_KEYS, cfg), seed=seed)
+        make_out()
+        experiments.write_coverage_report(args.out, config)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +464,9 @@ def main(argv=None):
     made = []  # the directories of --out this run makes
     try:
         cfg = _settings(args)
-        _makedirs(args.out, made)  # before any work: its error comes first
         # an overflow or invalid operation would put inf or NaN in the outputs
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.func(args, cfg)
+            args.func(args, cfg, lambda: _makedirs(args.out, made))
         # the settings the run used, echoed once its outputs are written
         with open(os.path.join(args.out, f"{args.command}_meta.json"), "w") as fh:
             json.dump({args.command: cfg}, fh, indent=2, sort_keys=True)

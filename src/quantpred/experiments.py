@@ -35,6 +35,7 @@ class EfronConfig:
     seed: int = 0
 
     def __post_init__(self):
+        RandomSource(self.seed)  # the seed's check
         if self.n < 2:
             raise DomainError("n must be at least 2")
         # the standard errors take a sample variance, which needs two
@@ -257,6 +258,7 @@ class CoverageBenchConfig:
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
         check_alpha(self.alpha)
+        RandomSource(self.seed)  # the seed's check
 
 
 def _draw(dgp, n, rng):
@@ -355,8 +357,7 @@ def run_coverage_bench(config: CoverageBenchConfig) -> BenchResult:
 # Report writers (used by the CLI demo command)
 # ---------------------------------------------------------------------------
 
-def write_efron_report(out_dir, est_config: EfronConfig, m_replications=20_000,
-                       oracle_replications=50_000):
+def write_efron_report(out_dir, est_config: EfronConfig, m_replications, oracle_replications):
     est = efron_estimation_ratio(est_config)
     sweep = efron_prediction_sweep((5, 11, 31, 101, 1001), m_replications,
                                    est_config.seed, oracle_replications)

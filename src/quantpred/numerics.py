@@ -18,9 +18,10 @@ class DomainError(ValueError):
 
 
 def check_alpha(alpha):
-    """Reject a miscoverage level outside the open interval (0, 1)."""
+    """alpha, a miscoverage level; rejected outside the open interval (0, 1)."""
     if not 0.0 < alpha < 1.0:  # NaN fails too
         raise DomainError("alpha must lie strictly inside (0, 1)")
+    return alpha
 
 
 def _check_prob(p, name="p"):

@@ -495,6 +495,14 @@ class TestConfig:
         assert cfg["train"]["seed"] == default(qnn.TrainingConfig, "seed")
         for key in ("seed", "n"):
             assert cfg["demo"][key] == default(experiments.run_normal_normal_demo, key)
+        # the efron sizes, whose keys are not the keywords they set
+        for key, owner, name in (
+                ("efron_n", experiments.EfronConfig, "n"),
+                ("efron_replications", experiments.EfronConfig, "m_replications"),
+                ("sweep_replications", experiments.efron_prediction_sweep, "m_replications"),
+                ("oracle_replications", experiments.efron_prediction_sweep,
+                 "oracle_replications")):
+            assert cfg["demo"][key] == default(owner, name)
 
     @pytest.mark.parametrize("section, key", [
         ("train", "head"), ("train", "embedding_dim"), ("train", "layer_dims"),
@@ -569,6 +577,66 @@ class TestFlagConfigParity:
             assert capsys.readouterr().err.splitlines() == [
                 f"error: {where if named else ''}{rule}"]
             assert not out.exists()
+
+    # every input path is missing, relative to the test's directory
+    INPUTS = {
+        "train": ["train", "--data", "d.csv", "--target", "y"],
+        "calibrate": ["calibrate", "--model", "m.qnet", "--data", "d.csv", "--target", "y"],
+        "predict": ["predict", "--model", "m.qnet", "--data", "d.csv",
+                    "--calibration", "c.txt"],
+        "eval": ["eval", "--model", "m.qnet", "--data", "d.csv", "--target", "y",
+                 "--calibration", "c.txt"],
+        "eval-kernel": ["eval", "--method", "kernel", "--train-data", "t.csv",
+                        "--data", "d.csv", "--target", "y"],
+        "normal-normal": ["demo", "normal-normal"],
+        "efron": ["demo", "efron"],
+        "coverage": ["demo", "coverage"],
+    }
+    OUTSIDE = "levels must lie strictly inside (0, 1), got [0.1, 1.5]"
+    SETTINGS = [  # (command, flags, config line, the setting's rule)
+        ("train", ["--monotone", "foo"], "", "unknown monotone mode 'foo'"),
+        ("train", [], "activation = foo", "unknown activation 'foo'"),
+        ("train", [], "epochs = 0", "epochs must be at least 1"),
+        # the network checks its widths on a one-column input
+        ("train", [], "hidden = 0", "layer sizes must be positive, got [1, 0, 5]"),
+        ("train", [], "learning_rate = -1", "learning_rate must be positive"),
+        ("train", ["--taus", "0.1,1.5"], "", OUTSIDE),
+        ("train", ["--seed", str(2 ** 64)], "", "seed must be an unsigned 64-bit integer"),
+        *[(command, ["--alpha", "1.5"], "", "alpha must lie strictly inside (0, 1)")
+          for command in ("calibrate", "predict", "eval")],
+        ("predict", ["--taus", "0.1,1.5"], "", OUTSIDE),
+        ("eval", ["--method", "foo"], "", "unknown method 'foo'"),
+        ("eval-kernel", [], "bandwidth = -1", "bandwidth must be positive"),
+        ("eval-kernel", ["--model", "m.qnet"], "", "eval with method kernel takes no --model"),
+        ("normal-normal", [], "n = 0", "[demo] n must be at least 1, got 0"),
+        ("normal-normal", ["--seed", "-1"], "", "seed must be an unsigned 64-bit integer"),
+        ("efron", [], "efron_n = 1", "[demo] efron_n must be at least 2, got 1"),
+        ("efron", [], "sweep_replications = 1",
+         "[demo] sweep_replications must be at least 2, got 1"),
+        ("coverage", [], "dgp = nope",
+         "unknown dgp 'nope'; choose from ('homoscedastic', 'heteroscedastic')"),
+        ("coverage", [], "epochs = 0", "epochs must be at least 1"),
+    ]
+
+    @pytest.mark.parametrize("command, flags, line, rule", SETTINGS,
+                             ids=[f"{c}-{' '.join(f) or l}" for c, f, l, _ in SETTINGS])
+    def test_settings_before_inputs_and_out(self, tmp_path, capsys, monkeypatch,
+                                            command, flags, line, rule):
+        # the setting's error, not the --out below a file or a missing input
+        def never(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "ingest_features", never)
+        monkeypatch.setattr(qnn, "load", never)
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "f", "")
+        argv = self.INPUTS[command] + flags + ["--out", "f/o"]
+        if line:
+            argv += ["--config", write(tmp_path / "c.ini", f"[{argv[0]}]\n{line}\n")]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {rule}"]
+        assert sorted(os.listdir(tmp_path)) == before and (tmp_path / "f").read_text() == ""
 
     def test_flag_echoed_as_typed(self, pipeline, tmp_path):
         conf = write(tmp_path / "c.ini", "[calibrate]\nalpha = .1\n")
@@ -1475,9 +1543,11 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("taus, alpha, message", [
         ("0.3", "0.1", "level 0.3 not on the grid"),
-        # an off-grid level is reported before a bad alpha, and a bad alpha
-        # before its off-grid interval levels
-        ("0.3", "1.5", "level 0.3 not on the grid"),
+        # a bad alpha is a setting, reported before the model is read, so
+        # before an off-grid level and before its off-grid interval levels
+        # (the library's own order, level first, is test_qnn's
+        # test_quantiles_at_checks_in_order)
+        ("0.3", "1.5", "alpha must lie strictly inside (0, 1)"),
         ("0.5", "1.5", "alpha must lie strictly inside (0, 1)"),
         ("0.5", "3.0", "alpha must lie strictly inside (0, 1)"),
         ("0.5", "0.3", "level 0.15 not on the grid"),
@@ -1534,15 +1604,19 @@ class TestDemoCommand:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("text, rule", [
+        ("epochs = 0", "epochs must be at least 1"),
+        ("seed = -1", "seed must be an unsigned 64-bit integer"),
+    ], ids=["epochs", "seed"])
     def test_coverage_epochs_checked_before_any_worker(self, tmp_path, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch, text, rule):
         def never(*args, **kwargs):
             raise AssertionError("a replication started")
 
         monkeypatch.setattr(experiments, "parallel_map", never)
-        conf = write(tmp_path / "c.ini", "[demo]\nepochs = 0\n")
+        conf = write(tmp_path / "c.ini", f"[demo]\n{text}\n")
         assert main(["demo", "coverage", "--config", conf, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: epochs must be at least 1"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {rule}"]
         assert not (tmp_path / "o").exists()
 
     def test_coverage_fails_when_every_replication_fails(self, tmp_path, capsys,

@@ -39,6 +39,11 @@ class TestEfronConfig:
         with pytest.raises(DomainError):
             EfronConfig(m_replications=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_a_seed_random_source_rejects(self, seed):
+        with pytest.raises(DomainError, match="seed must be an unsigned 64-bit integer"):
+            EfronConfig(seed=seed)
+
 
 class TestEstimationRatio:
     def test_ratio_near_asymptote(self):
@@ -186,6 +191,12 @@ class TestCoverageBenchConfig:
     def test_bad_sizes_rejected(self):
         with pytest.raises(DomainError):
             CoverageBenchConfig(n_cal=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_bad_seed_rejected(self, seed):
+        # on construction, so a command rejects it before any worker starts
+        with pytest.raises(DomainError, match="seed must be an unsigned 64-bit integer"):
+            CoverageBenchConfig(seed=seed)
 
 
 SMALL_BENCH = CoverageBenchConfig(
